@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/rex-data/rex/internal/algos"
+	"github.com/rex-data/rex/internal/datagen"
+	"github.com/rex-data/rex/internal/types"
 )
 
 // TestMain lets the test binary serve as the sssp-standing daemons, which
@@ -149,5 +154,34 @@ func TestWorkloadsShort(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestListing1Ref pins the pagerank-batch oracle to Listing 1's semantics:
+// a vertex without an in-edge keeps its base rank 1.0, its out-neighbours
+// are refreshed from that rank, and on a graph where every vertex has an
+// in-edge the oracle is textbook PageRank.
+func TestListing1Ref(t *testing.T) {
+	edge := func(s, d int64) types.Tuple { return types.NewTuple(s, d) }
+	// 0 has no in-edge; 1 → 2 → 1 is a cycle fed by 0.
+	g := &datagen.Graph{NumVertices: 3, Edges: []types.Tuple{edge(0, 1), edge(1, 2), edge(2, 1)}}
+	got, unrefreshed := listing1Ref(g, 1e-12, 1000)
+	if unrefreshed != 1 || got[0] != 1.0 {
+		t.Fatalf("vertex 0: rank %v, %d unrefreshed; want 1.0 and 1", got[0], unrefreshed)
+	}
+	// pr1 = 0.15 + 0.85·(pr0 + pr2), pr2 = 0.15 + 0.85·pr1 with pr0 = 1.
+	pr1 := (0.15 + 0.85*1.0 + 0.85*0.15) / (1 - 0.85*0.85)
+	if math.Abs(got[1]-pr1) > 1e-9 || math.Abs(got[2]-(0.15+0.85*pr1)) > 1e-9 {
+		t.Fatalf("ranks %v, want %v and %v for vertices 1 and 2", got, pr1, 0.15+0.85*pr1)
+	}
+
+	full := datagen.DBPediaGraph(400, 7)
+	want, _ := algos.PageRankRef(full, 1e-9, 500)
+	got, unrefreshed = listing1Ref(full, 1e-9, 500)
+	if unrefreshed != 0 {
+		t.Fatalf("graph has %d vertices without an in-edge; the check needs none", unrefreshed)
+	}
+	if d := maxRelDiff(got, want); d != 0 {
+		t.Fatalf("differs from algos.PageRankRef by %v on a graph where every vertex has an in-edge", d)
 	}
 }
