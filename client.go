@@ -17,8 +17,8 @@ import (
 
 // ServerStats is the rexd server's counter snapshot: sessions admitted,
 // queries run and rejected, plan-cache hits/misses/compiles, standing
-// rounds. Reported by Session.ServerStats on server sessions and by the
-// server's /stats HTTP endpoint.
+// rounds. Reported in Session.Stats on server sessions and by the server's
+// /stats HTTP endpoint.
 type ServerStats = srvproto.ServerStats
 
 // handshakeTimeout bounds the hello exchange when the dialing context
@@ -353,7 +353,7 @@ func serverUnsupported(opts Options) error {
 // wireOpts extracts the wire-travelling option subset.
 func wireOpts(opts Options) *srvproto.QueryOpts {
 	if opts.BatchSize == 0 && opts.MaxStrata == 0 && !opts.Compaction && opts.CompactionHighWater == 0 &&
-		!opts.Checkpoint && !opts.NoVectorize && opts.Tenant == "" && opts.Priority == 0 {
+		!opts.Checkpoint && opts.Tenant == "" && opts.Priority == 0 {
 		return nil
 	}
 	return &srvproto.QueryOpts{
@@ -362,7 +362,6 @@ func wireOpts(opts Options) *srvproto.QueryOpts {
 		Compaction:          opts.Compaction,
 		CompactionHighWater: opts.CompactionHighWater,
 		Checkpoint:          opts.Checkpoint,
-		NoVectorize:         opts.NoVectorize,
 		Tenant:              opts.Tenant,
 		Priority:            opts.Priority,
 	}
@@ -391,21 +390,4 @@ func (s *Session) serverQuery(ctx context.Context, src string, args []Value, opt
 		return nil, err
 	}
 	return st.Drain()
-}
-
-// ServerStats reports the rexd server's counters — plan-cache hits and
-// misses included. Server sessions only.
-//
-// Deprecated: use Session.Stats — the unified snapshot; its Server field
-// carries the same record plus the scheduler counters. ServerStats is a
-// thin wrapper kept for source compatibility.
-func (s *Session) ServerStats(ctx context.Context) (*ServerStats, error) {
-	if s.srv == nil {
-		return nil, fmt.Errorf("rex: ServerStats requires a server session (rex.WithServer)")
-	}
-	st, err := s.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return st.Server, nil
 }

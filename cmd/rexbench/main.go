@@ -61,11 +61,7 @@ func main() {
 		return
 	}
 
-	sc := bench.DefaultScale()
-	sc.DBPediaVertices = int(float64(sc.DBPediaVertices) * *scale)
-	sc.TwitterVertices = int(float64(sc.TwitterVertices) * *scale)
-	sc.GeoBasePoints = int(float64(sc.GeoBasePoints) * *scale)
-	sc.LineItemRows = int(float64(sc.LineItemRows) * *scale)
+	sc := bench.DefaultScale().Scaled(*scale)
 	if *nodes > 0 {
 		sc.Nodes = *nodes
 	}

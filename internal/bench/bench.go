@@ -58,6 +58,16 @@ func DefaultScale() Scale {
 	}
 }
 
+// Scaled multiplies the dataset sizes by f (rexbench -scale); node and
+// worker counts are unchanged.
+func (s Scale) Scaled(f float64) Scale {
+	s.DBPediaVertices = int(float64(s.DBPediaVertices) * f)
+	s.TwitterVertices = int(float64(s.TwitterVertices) * f)
+	s.GeoBasePoints = int(float64(s.GeoBasePoints) * f)
+	s.LineItemRows = int(float64(s.LineItemRows) * f)
+	return s
+}
+
 // Report is one experiment's tabular output.
 type Report struct {
 	Title   string

@@ -21,13 +21,15 @@ import (
 // scenario's coalescing fields (ingests, staged/folded deltas,
 // coalesce_ratio, sequential_bytes); 4 = adds the inner_loop section
 // (rows_per_sec, allocs_per_round, heap_growth_bytes), the suite rows'
-// row_path_hash (vectorization off), and the churn row's rows_per_sec;
+// row-path hash (vectorization off), and the churn row's rows_per_sec;
 // 5 = adds the spill section (paged stores with a larger-than-pool
 // dataset: buffer-pool hit rate, evictions, bytes spilled, rows/sec);
 // 6 = adds the kernel section (filter microloop: compiled column kernel
 // vs scratch-tuple bridge, speedup_vs_bridged) and the filter-heavy rql
-// suite workload.
-const CISchemaVersion = 6
+// suite workload; 7 = drops the suite rows' row-path hash and time (the
+// row mode is gone; suite hashes are gated against the golden hashes in
+// bench/baseline.json instead).
+const CISchemaVersion = 7
 
 // CIRecord is the top-level JSON document.
 type CIRecord struct {
@@ -115,22 +117,16 @@ type CIExperiment struct {
 // CIWire records one wire-traffic measurement: measured frame bytes and
 // the shuffle compactor's delta counts for a workload at this scale.
 type CIWire struct {
-	Workload   string `json:"workload"`
-	Transport  string `json:"transport,omitempty"`
-	Compaction bool   `json:"compaction"`
-	WireBytes  int64  `json:"wire_bytes"`
-	DeltasIn   int64  `json:"deltas_in"`
-	DeltasOut  int64  `json:"deltas_out"`
-	ResultRows int    `json:"result_rows"`
-	Strata     int    `json:"strata,omitempty"`
-	ResultHash string `json:"result_hash,omitempty"`
-	// RowPathHash is the same workload re-run with vectorization off
-	// (NoVectorize); it must equal ResultHash — the vector operators and
-	// columnar wire path change nothing observable. RowPathMillis is that
-	// run's wall time, the end-to-end A/B against Millis.
-	RowPathHash   string  `json:"row_path_hash,omitempty"`
-	RowPathMillis float64 `json:"row_path_ms,omitempty"`
-	Millis        float64 `json:"ms"`
+	Workload   string  `json:"workload"`
+	Transport  string  `json:"transport,omitempty"`
+	Compaction bool    `json:"compaction"`
+	WireBytes  int64   `json:"wire_bytes"`
+	DeltasIn   int64   `json:"deltas_in"`
+	DeltasOut  int64   `json:"deltas_out"`
+	ResultRows int     `json:"result_rows"`
+	Strata     int     `json:"strata,omitempty"`
+	ResultHash string  `json:"result_hash,omitempty"`
+	Millis     float64 `json:"ms"`
 }
 
 // WireBench measures SSSP and PageRank wire traffic on the DBPedia-like

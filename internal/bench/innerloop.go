@@ -163,8 +163,8 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 	}
 	for _, shape := range innerLoopShapes() {
 		// Pre-encode each round's frame in both wire formats outside the
-		// timed region: each mode consumes its own format end to end,
-		// exactly as the engine does with vectorization off vs on.
+		// timed region: each mode consumes its own format end to end, as
+		// the engine's dictionary and columnar shuffle edges do.
 		rowFrames := make([][]byte, innerLoopRounds)
 		vecFrames := make([][]byte, innerLoopRounds)
 		for r := 0; r < innerLoopRounds; r++ {

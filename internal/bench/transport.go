@@ -23,9 +23,10 @@ type Runner func(spec *job.Spec, tune func(*exec.Options)) (*exec.Result, error)
 // recursive algorithms plus a filter-heavy TPC-H-style aggregation, at
 // benchmark scale, with compaction on. Every parameter is pinned so an
 // inproc run and a TCP run (or two runs on different machines) execute
-// the identical query on identical data. The rql workload's scan→filter→
-// pre-agg chain is where the compiled column kernels live, so its
-// row_path_ms column is the end-to-end kernels-vs-interpreter A/B.
+// the identical query on identical data, and every result hash must equal
+// its golden hash in bench/baseline.json (recorded at scale 0.25). The rql
+// workload's scan→filter→pre-agg chain is where the compiled column
+// kernels live.
 func SuiteSpecs(sc Scale) []*job.Spec {
 	return []*job.Spec{
 		{
@@ -55,9 +56,9 @@ func SuiteSpecs(sc Scale) []*job.Spec {
 func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWire, error) {
 	rep := &Report{
 		Title: fmt.Sprintf("Transport suite (%s)", transport),
-		Notes: "same plans + seeds on every transport; result_hash must match across backends and with vectorization off",
+		Notes: "same plans + seeds on every transport; result_hash must match across backends and the golden hashes",
 		Headers: []string{"workload", "rows", "strata", "wire_bytes", "deltas_in", "deltas_out",
-			"result_hash", "row_path_hash", "ms", "row_path_ms"},
+			"result_hash", "ms"},
 	}
 	var rows []CIWire
 	for _, spec := range SuiteSpecs(sc) {
@@ -71,31 +72,11 @@ func TransportSuite(w io.Writer, sc Scale, transport string, run Runner) ([]CIWi
 		row.Strata = len(res.Strata)
 		row.ResultHash = ResultHash(res.Tuples)
 		row.Millis = float64(time.Since(start)) / float64(time.Millisecond)
-
-		// Re-run the identical spec with vectorization off: the row
-		// operator paths and row wire codec must produce the same result
-		// set. NoVectorize travels in the spec so multi-process workers
-		// agree with the driver.
-		rowSpec := *spec
-		rowSpec.NoVectorize = true
-		rowStart := time.Now()
-		rowRes, err := run(&rowSpec, nil)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s (vectorization off) on %s: %w", spec.Workload, transport, err)
-		}
-		row.RowPathMillis = float64(time.Since(rowStart)) / float64(time.Millisecond)
-		row.RowPathHash = ResultHash(rowRes.Tuples)
-		if row.RowPathHash != row.ResultHash {
-			return nil, fmt.Errorf("bench: %s on %s: vectorized hash %s != row-path hash %s",
-				spec.Workload, transport, row.ResultHash, row.RowPathHash)
-		}
-
 		rows = append(rows, row)
 		rep.Rows = append(rep.Rows, []string{
 			spec.Workload, fmt.Sprint(row.ResultRows), fmt.Sprint(row.Strata),
 			fmt.Sprint(row.WireBytes), fmt.Sprint(row.DeltasIn), fmt.Sprint(row.DeltasOut),
-			row.ResultHash, row.RowPathHash, fmt.Sprintf("%.1f", row.Millis),
-			fmt.Sprintf("%.1f", row.RowPathMillis),
+			row.ResultHash, fmt.Sprintf("%.1f", row.Millis),
 		})
 	}
 	rep.Print(w)

@@ -68,8 +68,9 @@ func BenchmarkDecodeRow(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeColumnar is the near-zero-copy path: the decode parses
-// the O(columns) header and aliases the payload without touching rows.
+// BenchmarkDecodeColumnar is the near-zero-copy path: the decode checks
+// each column payload in one allocation-free pass and aliases it without
+// materializing rows.
 func BenchmarkDecodeColumnar(b *testing.B) {
 	cb, ok := types.FromDeltas(codecStream(4096))
 	if !ok {

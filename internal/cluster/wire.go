@@ -24,8 +24,8 @@ import (
 //     output ships through it, where the dictionary wins on the highly
 //     repetitive coalesced streams). EncodeDeltaBatch is the columnar
 //     format: the encoded frame IS the in-memory DeltaBatch layout, so
-//     DecodeDeltaBatch only parses the O(columns) header and aliases the
-//     op vector and column payloads out of the frame buffer — values
+//     DecodeDeltaBatch validates the column payloads in one pass and
+//     aliases the op vector and payloads out of the frame buffer — values
 //     materialize lazily, on first operator access.
 
 // wireVersion leads every frame; decoders reject unknown versions.
@@ -243,7 +243,7 @@ func DecodeDeltasAny(buf []byte) ([]types.Delta, *types.DeltaBatch, error) {
 		}
 		return nil, b, nil
 	}
-	rows, err := DecodeDeltas(buf)
+	rows, err := decodeDict(buf)
 	return rows, nil, err
 }
 
@@ -339,18 +339,17 @@ func EncodeDeltas(batch []types.Delta) []byte {
 // Columnar payloads are fully materialized (fresh tuples, safe to
 // retain); callers that can consume vectors use DecodeDeltasAny instead.
 func DecodeDeltas(buf []byte) ([]types.Delta, error) {
+	rows, b, err := DecodeDeltasAny(buf)
+	if b != nil {
+		return b.Deltas(), nil
+	}
+	return rows, err
+}
+
+// decodeDict decodes a dictionary-format delta payload.
+func decodeDict(buf []byte) ([]types.Delta, error) {
 	if len(buf) == 0 {
 		return nil, fmt.Errorf("cluster: decode deltas: empty buffer")
-	}
-	if buf[0] == deltaFormatCol {
-		b, used, err := types.DecodeDeltaBatch(buf[1:])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decode delta batch: %w", err)
-		}
-		if used != len(buf)-1 {
-			return nil, fmt.Errorf("cluster: decode delta batch: %d trailing bytes", len(buf)-1-used)
-		}
-		return b.Deltas(), nil
 	}
 	if buf[0] != deltaFormatDict {
 		return nil, fmt.Errorf("cluster: decode deltas: unknown format 0x%02X", buf[0])
@@ -391,8 +390,10 @@ func DecodeDeltas(buf []byte) ([]types.Delta, error) {
 				return nil, fmt.Errorf("cluster: decode deltas: bad value token")
 			}
 			if tok >= dictRefBase {
-				ref := int(tok - dictRefBase)
-				if ref >= len(dict) {
+				// uint64 comparison so a forged huge token cannot wrap
+				// to a negative index.
+				ref := tok - dictRefBase
+				if ref >= uint64(len(dict)) {
 					return nil, fmt.Errorf("cluster: decode deltas: dictionary ref %d out of range", ref)
 				}
 				t[i] = dict[ref]

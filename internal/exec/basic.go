@@ -21,40 +21,11 @@ type scanOp struct {
 	batch int
 }
 
-func (s *scanOp) Start() error {
-	if s.ctx.Vectorize {
-		return s.startVec()
-	}
-	buf := make([]types.Delta, 0, s.batch)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := s.outs.send(buf)
-		buf = buf[:0]
-		return err
-	}
-	err := s.ctx.Store.ScanOwned(s.table, s.ctx.Snap, func(t types.Tuple) error {
-		buf = append(buf, types.Insert(t))
-		if len(buf) >= s.batch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	return s.outs.punct(0, true)
-}
-
-// startVec is Start on the columnar path: the partition scan fills one
-// pooled batch per BatchSize rows and hands it downstream as a unit, so a
+// Start scans the partition on the columnar path: it fills one pooled
+// batch per BatchSize rows and hands it downstream as a unit, so a
 // vectorized pipeline runs the whole base stratum without materializing
 // per-row deltas.
-func (s *scanOp) startVec() error {
+func (s *scanOp) Start() error {
 	b := types.GetBatch()
 	defer types.PutBatch(b)
 	flush := func() error {
@@ -86,28 +57,18 @@ func (s *scanOp) startVec() error {
 // the node has injected, preserving the data-before-punctuation discipline
 // across tables.
 func (s *scanOp) Inject(batch []types.Delta) error {
-	if s.ctx.Vectorize {
-		b := types.GetBatch()
-		defer types.PutBatch(b)
-		for _, d := range batch {
-			if !b.CanAppend(d) || b.Len() >= s.batch {
-				if err := s.outs.sendBatch(b); err != nil {
-					return err
-				}
-				b.Reset()
+	b := types.GetBatch()
+	defer types.PutBatch(b)
+	for _, d := range batch {
+		if !b.CanAppend(d) || b.Len() >= s.batch {
+			if err := s.outs.sendBatch(b); err != nil {
+				return err
 			}
-			b.Append(d)
+			b.Reset()
 		}
-		return s.outs.sendBatch(b)
+		b.Append(d)
 	}
-	for len(batch) > 0 {
-		n := min(s.batch, len(batch))
-		if err := s.outs.send(batch[:n]); err != nil {
-			return err
-		}
-		batch = batch[n:]
-	}
-	return nil
+	return s.outs.sendBatch(b)
 }
 
 // punctRound closes this scan's contribution to an ingestion round's base

@@ -70,14 +70,6 @@ type Options struct {
 	// changes worker behavior — so it travels in the job spec.
 	// Streaming runs do not support failure recovery.
 	Stream bool
-	// NoVectorize disables the columnar batch path: operators exchange
-	// row-form delta slices end to end and the shuffle ships dictionary
-	// frames only. The zero value runs vectorized — eligible operators
-	// move whole columnar batches and the wire carries the columnar
-	// format. Both sides of a multi-process run must agree on this field
-	// — it changes the frames workers emit — so it travels in the job
-	// spec.
-	NoVectorize bool
 	// TermFn, when set, is an explicit termination condition evaluated by
 	// the requestor after each stratum over the global new-tuple count
 	// (§3.4). Returning true terminates the query.

@@ -93,10 +93,6 @@ type Context struct {
 	CompactionHighWater int
 	// Stratum is the stratum currently executing on this node.
 	Stratum int
-	// Vectorize routes eligible edges through the columnar batch path
-	// (PushBatch) instead of row-at-a-time Push. Operators that cannot
-	// vectorize (UDF/handler modes) fall back transparently.
-	Vectorize bool
 	// Drain is this node's delta drain-rate meter; credit grants are sized
 	// from it (Drain.Window) instead of the static high-water constant.
 	Drain *cluster.DrainMeter

@@ -14,7 +14,8 @@ import (
 // fed by the worker loop from the transport and aligns punctuation from
 // all alive senders before forwarding downstream (§4.2).
 //
-// With Options.Compaction on, the per-destination buffers are
+// With Options.Compaction off, the per-destination buffers are pooled
+// columnar batches that ship as columnar wire frames. With it on, they are
 // cluster.Compactors that coalesce same-key deltas before encoding, and
 // flushes observe a credit-based flow-control rule: every shipped batch
 // spends one credit from the sender's window to that destination, and a
@@ -35,16 +36,14 @@ type rehashOp struct {
 	outs outputs
 
 	broadcast  bool
-	buffers    map[cluster.NodeID][]types.Delta
 	compactors map[cluster.NodeID]*cluster.Compactor
 	mergeFn    cluster.MergeFunc
 	allCols    []int // cached 0..n-1 index for keyless (broadcast) edges
 	// vecBuffers are the per-destination pending batches of the columnar
-	// path (Vectorize on, compaction off): rows accumulate column-wise in
-	// pooled batches and ship as columnar wire frames, so the shuffle hot
-	// loop never materializes row deltas. The row and columnar pending
-	// stores are mutually exclusive per mode — in vec mode even row-form
-	// pushes append into vecBuffers, preserving same-key delta order.
+	// path (compaction off): rows accumulate column-wise in pooled batches
+	// and ship as columnar wire frames, so the shuffle hot loop never
+	// materializes row deltas. Row-form pushes append into vecBuffers too,
+	// preserving same-key delta order.
 	vecBuffers map[cluster.NodeID]*types.DeltaBatch
 	scratch    types.Tuple // reused by multi-column HashKeyAt calls
 	// flushedIn tracks each compactor's cumulative added-count at its
@@ -69,7 +68,6 @@ func newRehashOp(spec *OpSpec, ctx *Context, broadcast bool) *rehashOp {
 		spec:        spec,
 		ctx:         ctx,
 		broadcast:   broadcast,
-		buffers:     map[cluster.NodeID][]types.Delta{},
 		punctCount:  map[int]int{},
 		closedCount: map[int]int{},
 		nSenders:    len(ctx.Snap.AliveNodes()),
@@ -78,16 +76,16 @@ func newRehashOp(spec *OpSpec, ctx *Context, broadcast bool) *rehashOp {
 		r.compactors = map[cluster.NodeID]*cluster.Compactor{}
 		r.flushedIn = map[cluster.NodeID]int{}
 		r.mergeFn = compactMergeFn(spec)
-	} else if ctx.Vectorize {
+	} else {
 		r.vecBuffers = map[cluster.NodeID]*types.DeltaBatch{}
 	}
 	return r
 }
 
-// vec reports whether this rehash runs the columnar send path. Compaction
-// wins when both are requested: the compactor coalesces same-key deltas
-// row-wise, and a coalesced dictionary frame beats a columnar one on the
-// workloads compaction exists for.
+// vec reports whether this rehash runs the columnar send path, i.e.
+// compaction is off. The compactor coalesces same-key deltas row-wise, and
+// a coalesced dictionary frame beats a columnar one on the workloads
+// compaction exists for.
 func (r *rehashOp) vec() bool { return r.vecBuffers != nil }
 
 func (r *rehashOp) Push(port int, batch []types.Delta) error {
@@ -293,29 +291,22 @@ func (r *rehashOp) routingKey(t types.Tuple) types.Value {
 
 func (r *rehashOp) enqueue(dest cluster.NodeID, d types.Delta) error {
 	if r.vec() {
-		// Row-form deltas reaching a vectorized rehash (a non-vector
+		// Row-form deltas reaching a columnar rehash (a row-only
 		// upstream, or the replace split) land in the same per-dest
 		// columnar batches so same-key delta order is preserved.
 		return r.enqueueVecDelta(dest, d)
 	}
-	if r.compactors != nil {
-		c := r.compactors[dest]
-		if c == nil {
-			c = cluster.NewCompactor(r.routingKey, r.mergeFn)
-			r.compactors[dest] = c
-		}
-		c.Add(d)
-		// Probe the flush condition only when the buffer crosses a batch
-		// boundary: under backpressure deferral the buffer sits above
-		// BatchSize for a while, and per-delta credit probes would
-		// serialize every sender on the credit-book mutex.
-		if b := c.Buffered(); b >= r.ctx.BatchSize && b%r.ctx.BatchSize == 0 && r.shouldFlush(dest, b) {
-			return r.flush(dest)
-		}
-		return nil
+	c := r.compactors[dest]
+	if c == nil {
+		c = cluster.NewCompactor(r.routingKey, r.mergeFn)
+		r.compactors[dest] = c
 	}
-	r.buffers[dest] = append(r.buffers[dest], d)
-	if len(r.buffers[dest]) >= r.ctx.BatchSize {
+	c.Add(d)
+	// Probe the flush condition only when the buffer crosses a batch
+	// boundary: under backpressure deferral the buffer sits above
+	// BatchSize for a while, and per-delta credit probes would serialize
+	// every sender on the credit-book mutex.
+	if b := c.Buffered(); b >= r.ctx.BatchSize && b%r.ctx.BatchSize == 0 && r.shouldFlush(dest, b) {
 		return r.flush(dest)
 	}
 	return nil
@@ -335,23 +326,18 @@ func (r *rehashOp) shouldFlush(dest cluster.NodeID, buffered int) bool {
 	return r.ctx.Transport.Credits(r.ctx.Node, dest) > 0
 }
 
+// flush ships dest's compacted pending deltas.
 func (r *rehashOp) flush(dest cluster.NodeID) error {
-	var batch []types.Delta
-	if r.compactors != nil {
-		c := r.compactors[dest]
-		if c == nil {
-			return nil
-		}
-		batch = c.Drain()
-		added, _, _ := c.Stats()
-		m := r.ctx.Transport.Metrics()
-		m.CompactIn[r.ctx.Node].Add(int64(added - r.flushedIn[dest]))
-		m.CompactOut[r.ctx.Node].Add(int64(len(batch)))
-		r.flushedIn[dest] = added
-	} else {
-		batch = r.buffers[dest]
-		r.buffers[dest] = nil
+	c := r.compactors[dest]
+	if c == nil {
+		return nil
 	}
+	batch := c.Drain()
+	added, _, _ := c.Stats()
+	m := r.ctx.Transport.Metrics()
+	m.CompactIn[r.ctx.Node].Add(int64(added - r.flushedIn[dest]))
+	m.CompactOut[r.ctx.Node].Add(int64(len(batch)))
+	r.flushedIn[dest] = added
 	if len(batch) == 0 {
 		return nil
 	}
@@ -359,24 +345,17 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 		// Loopback: deliver synchronously, skipping the wire.
 		return r.Push(1, batch)
 	}
-	if r.compactors != nil {
-		// Every shipped batch spends one credit from this sender's window
-		// to the destination (an overflow-forced flush may overdraw to
-		// zero). Only compacting senders gate on credits, so the plain
-		// path skips the book entirely.
-		r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
-	}
+	// Every shipped batch spends one credit from this sender's window to
+	// the destination (an overflow-forced flush may overdraw to zero).
+	// Only compacting senders gate on credits, so the columnar path skips
+	// the book entirely.
+	r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
 	r.ctx.Transport.SendData(r.ctx.Node, dest, edgeID(r.spec.ID, 1),
 		r.ctx.Stratum, r.ctx.Epoch, batch)
 	return nil
 }
 
 func (r *rehashOp) flushAll() error {
-	for dest := range r.buffers {
-		if err := r.flush(dest); err != nil {
-			return err
-		}
-	}
 	for dest := range r.compactors {
 		if err := r.flush(dest); err != nil {
 			return err
@@ -453,7 +432,6 @@ func (r *rehashOp) Punct(port, stratum int, closed bool) error {
 }
 
 func (r *rehashOp) Reset() {
-	r.buffers = map[cluster.NodeID][]types.Delta{}
 	if r.ctx.Compaction {
 		r.compactors = map[cluster.NodeID]*cluster.Compactor{}
 		r.flushedIn = map[cluster.NodeID]int{}

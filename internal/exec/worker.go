@@ -30,7 +30,6 @@ type Worker struct {
 	compaction  bool
 	highWater   int
 	stream      bool
-	vectorize   bool
 
 	// drain meters this worker's delta-application rate between
 	// punctuation marks; credit grants (shuffle punctuation and MsgIngest
@@ -132,13 +131,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		checkpoints: opts.Checkpoint,
 		compaction:  opts.Compaction, highWater: opts.CompactionHighWater,
 		stream: opts.Stream,
-		// Operator vectorization now composes with the shuffle
-		// compactor: rehash converts to rows at the compactor boundary
-		// (see rehashOp.PushBatch), so the scan→filter→project chain keeps
-		// its compiled column kernels while the wire still gets the
-		// compaction byte savings.
-		vectorize: !opts.NoVectorize,
-		drain:     &cluster.DrainMeter{},
+		drain:  &cluster.DrainMeter{},
 	}
 }
 
@@ -219,8 +212,8 @@ func (w *Worker) handle(msg cluster.Message) error {
 		if !ok {
 			return fmt.Errorf("exec: node %d: data for unknown op %d", w.node, op)
 		}
-		// Columnar frames stay columnar all the way into a vectorized
-		// operator: decode parses the header and aliases column payloads
+		// Columnar frames stay columnar all the way into a batch
+		// operator: decode validates the column payloads and aliases them
 		// out of the frame buffer, and values materialize only where an
 		// operator actually touches them.
 		rows, cb, err := cluster.DecodeDeltasAny(msg.Payload)
@@ -229,7 +222,7 @@ func (w *Worker) handle(msg cluster.Message) error {
 		}
 		if cb != nil {
 			w.drain.Observe(cb.Len())
-			if bo, ok := inst.(BatchOperator); ok && w.vectorize {
+			if bo, ok := inst.(BatchOperator); ok {
 				return bo.PushBatch(port, cb)
 			}
 			return inst.Push(port, cb.Deltas())
@@ -625,7 +618,7 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 		Store: w.store, Catalog: w.cat, QueryID: w.queryID,
 		Epoch: w.epoch, BatchSize: w.batchSize,
 		Compaction: w.compaction, CompactionHighWater: w.highWater,
-		Vectorize: w.vectorize, Drain: w.drain,
+		Drain: w.drain,
 	}
 	w.ctx = ctx
 	w.ops = map[int]Operator{}

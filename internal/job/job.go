@@ -78,9 +78,6 @@ type Spec struct {
 	// state changes as it closes instead of flushing the final relation
 	// (both sides must agree — it changes fixpoint behavior).
 	Stream bool `json:"stream,omitempty"`
-	// NoVectorize disables the columnar batch path (both sides must agree
-	// — it changes the wire frames workers emit).
-	NoVectorize bool `json:"no_vectorize,omitempty"`
 
 	// BufferPoolPages sizes the page-store buffer pool on daemons running
 	// with a data directory (0 = the daemon's own default). It crosses the
@@ -133,7 +130,6 @@ func (s *Spec) Options() exec.Options {
 		CompactionHighWater: s.CompactionHighWater,
 		MaxStrata:           s.MaxStrata,
 		Stream:              s.Stream,
-		NoVectorize:         s.NoVectorize,
 	}
 }
 

@@ -1,10 +1,9 @@
 package job_test
 
-// Vectorization equivalence over real sockets: with compaction off the
-// shuffle actually ships columnar frames, so these runs exercise the
+// Columnar equivalence over real sockets: with compaction off the shuffle
+// actually ships columnar frames, so these runs exercise the
 // near-zero-copy wire path end to end across OS-process boundaries. The
-// result hash must be identical with vectorization on and off, and both
-// must match the in-process run of the same spec.
+// result hash must match the in-process run of the same spec.
 
 import (
 	"testing"
@@ -31,20 +30,10 @@ func TestVectorizeTCPEquivalence(t *testing.T) {
 
 		vecRes, err := cl.Run(clone(spec), nil)
 		if err != nil {
-			t.Fatalf("tcp %s (vectorized): %v", spec.Workload, err)
+			t.Fatalf("tcp %s: %v", spec.Workload, err)
 		}
 		if got := bench.ResultHash(vecRes.Tuples); got != want {
-			t.Errorf("%s: tcp vectorized hash %s != inproc %s", spec.Workload, got, want)
-		}
-
-		rowSpec := clone(spec)
-		rowSpec.NoVectorize = true
-		rowRes, err := cl.Run(rowSpec, nil)
-		if err != nil {
-			t.Fatalf("tcp %s (row path): %v", spec.Workload, err)
-		}
-		if got := bench.ResultHash(rowRes.Tuples); got != want {
-			t.Errorf("%s: tcp row-path hash %s != inproc %s", spec.Workload, got, want)
+			t.Errorf("%s: tcp hash %s != inproc %s", spec.Workload, got, want)
 		}
 	}
 }

@@ -696,7 +696,6 @@ func execOpts(o *srvproto.QueryOpts) rex.Options {
 		Compaction:          o.Compaction,
 		CompactionHighWater: o.CompactionHighWater,
 		Checkpoint:          o.Checkpoint,
-		NoVectorize:         o.NoVectorize,
 	}
 }
 

@@ -96,7 +96,6 @@ type QueryOpts struct {
 	Compaction          bool `json:"compaction,omitempty"`
 	CompactionHighWater int  `json:"compaction_hw,omitempty"`
 	Checkpoint          bool `json:"checkpoint,omitempty"`
-	NoVectorize         bool `json:"no_vectorize,omitempty"`
 	// Tenant overrides the session's Hello tenant for this request;
 	// Priority (-1 low / 0 normal / +1 high) orders the scheduler's
 	// runnable queue. Priority also rides the frame header (see

@@ -79,6 +79,38 @@ func DecodeValue(buf []byte) (Value, int, error) {
 	}
 }
 
+// valueSize is DecodeValue without the value: it reports the size of the
+// encoded value at the head of buf, or 0 where DecodeValue would fail, and
+// allocates nothing. Columnar decode uses it to check mixed-value payloads
+// up front.
+func valueSize(buf []byte) int {
+	if len(buf) == 0 {
+		return 0
+	}
+	rest := buf[1:]
+	switch Kind(buf[0]) {
+	case KindNull:
+		return 1
+	case KindInt:
+		if _, n := binary.Varint(rest); n > 0 {
+			return 1 + n
+		}
+	case KindFloat:
+		if len(rest) >= 8 {
+			return 9
+		}
+	case KindString:
+		if l, n := binary.Uvarint(rest); n > 0 && l <= uint64(len(rest)-n) {
+			return 1 + n + int(l)
+		}
+	case KindBool:
+		if len(rest) >= 1 {
+			return 2
+		}
+	}
+	return 0
+}
+
 // AppendTuple encodes t (field count + values).
 func AppendTuple(buf []byte, t Tuple) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t)))

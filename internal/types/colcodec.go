@@ -1,9 +1,10 @@
 // Columnar wire codec for DeltaBatch. The encoded layout IS the in-memory
 // layout: a row count, the Op vector as raw bytes, then each column as a
 // repr byte, optional validity bitmap, and a length-prefixed payload.
-// DecodeDeltaBatch therefore only parses the O(columns) header and aliases
-// the ops/bitmap/payload spans out of the input buffer; column values
-// materialize lazily, on first access, via Column.mat.
+// DecodeDeltaBatch checks every column payload against the row count in
+// one allocation-free pass and aliases the ops/bitmap/payload spans out of
+// the input buffer; column values materialize lazily, on first access, via
+// Column.mat, which therefore cannot fail on a batch that decoded.
 package types
 
 import (
@@ -201,16 +202,64 @@ func decodeColumn(c *Column, buf []byte, rows int) (int, error) {
 		return 0, fmt.Errorf("bad payload length")
 	}
 	off += n
+	raw := buf[off : off+int(pl) : off+int(pl)]
+	if err := checkPayload(repr, raw, rows); err != nil {
+		return 0, err
+	}
 	c.n = rows
 	c.rawRepr = repr
-	c.raw = buf[off : off+int(pl) : off+int(pl)]
+	c.raw = raw
 	off += int(pl)
 	return off, nil
 }
 
+// checkPayload verifies that raw holds exactly rows well-formed entries of
+// the given repr and nothing after them, without materializing any value.
+func checkPayload(repr byte, raw []byte, rows int) error {
+	size := -1 // exact payload size of the fixed-width reprs
+	switch repr {
+	case colNulls:
+		size = 0
+	case colFloats:
+		size = 8 * rows
+	case colBools:
+		size = (rows + 7) / 8
+	}
+	if size >= 0 {
+		if len(raw) != size {
+			return fmt.Errorf("payload is %d bytes, want %d", len(raw), size)
+		}
+		return nil
+	}
+	// Ints, strings and mixed values: walk the variable-width entries.
+	off := 0
+	for i := 0; i < rows; i++ {
+		n := 0
+		switch repr {
+		case colInts:
+			_, n = binary.Varint(raw[off:])
+		case colStrs:
+			if l, m := binary.Uvarint(raw[off:]); m > 0 && l <= uint64(len(raw)-off-m) {
+				n = m + int(l)
+			}
+		default:
+			n = valueSize(raw[off:])
+		}
+		if n <= 0 {
+			return fmt.Errorf("bad payload entry at row %d", i)
+		}
+		off += n
+	}
+	if off != len(raw) {
+		return fmt.Errorf("%d trailing payload bytes", len(raw)-off)
+	}
+	return nil
+}
+
 // mat materializes a lazy column: decodes raw into the typed vector and
 // drops the alias. Materialized values (including strings, which copy
-// out of the payload) own their storage.
+// out of the payload) own their storage. decodeColumn has already checked
+// raw with checkPayload, so no entry here can be malformed.
 func (c *Column) mat() {
 	if c.raw == nil {
 		return
@@ -226,18 +275,12 @@ func (c *Column) mat() {
 		off := 0
 		for i := 0; i < c.n; i++ {
 			v, n := binary.Varint(raw[off:])
-			if n <= 0 {
-				panic(fmt.Sprintf("types: column payload: bad varint at row %d", i))
-			}
 			c.ints[i] = v
 			off += n
 		}
 	case colFloats:
 		c.kind = KindFloat
 		c.floats = growZero(c.floats, c.n)
-		if len(raw) < 8*c.n {
-			panic("types: column payload: short float vector")
-		}
 		for i := 0; i < c.n; i++ {
 			c.floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
@@ -247,9 +290,6 @@ func (c *Column) mat() {
 		off := 0
 		for i := 0; i < c.n; i++ {
 			l, n := binary.Uvarint(raw[off:])
-			if n <= 0 || l > uint64(len(raw)-off-n) {
-				panic(fmt.Sprintf("types: column payload: bad string at row %d", i))
-			}
 			off += n
 			c.strs[i] = string(raw[off : off+int(l)])
 			off += int(l)
@@ -257,9 +297,6 @@ func (c *Column) mat() {
 	case colBools:
 		c.kind = KindBool
 		c.bools = growZero(c.bools, c.n)
-		if len(raw) < (c.n+7)/8 {
-			panic("types: column payload: short bool vector")
-		}
 		for i := 0; i < c.n; i++ {
 			c.bools[i] = raw[i>>3]&(1<<(i&7)) != 0
 		}
@@ -267,10 +304,7 @@ func (c *Column) mat() {
 		c.anys = make([]Value, c.n)
 		off := 0
 		for i := 0; i < c.n; i++ {
-			v, used, err := DecodeValue(raw[off:])
-			if err != nil {
-				panic(fmt.Sprintf("types: column payload: row %d: %v", i, err))
-			}
+			v, used, _ := DecodeValue(raw[off:])
 			c.anys[i] = v
 			off += used
 		}

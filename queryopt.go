@@ -34,13 +34,6 @@ func WithTenant(id string) QueryOption {
 	return func(o *Options) { o.Tenant = id }
 }
 
-// WithNoVectorize disables the columnar batch path for this query:
-// operators exchange row-form delta slices and the shuffle ships
-// dictionary frames only.
-func WithNoVectorize() QueryOption {
-	return func(o *Options) { o.NoVectorize = true }
-}
-
 // WithBatchSize sets the transport batching granularity (default 1024).
 func WithBatchSize(n int) QueryOption {
 	return func(o *Options) { o.BatchSize = n }
@@ -70,9 +63,8 @@ func WithRecovery(strategy RecoveryStrategy) QueryOption {
 }
 
 // WithOptions overlays a full Options struct — the bridge for callers
-// holding pre-built option state (the deprecated struct-taking entry
-// points are thin wrappers over it). Fields set by earlier QueryOptions
-// are replaced wholesale.
+// holding pre-built option state. Fields set by earlier QueryOptions are
+// replaced wholesale.
 func WithOptions(opts Options) QueryOption {
 	return func(o *Options) { *o = opts }
 }

@@ -25,8 +25,7 @@
 // Per-query knobs are variadic QueryOptions, accepted uniformly by
 // QueryCtx, Stream, Prepare, and Subscribe — WithPriority and WithTenant
 // address the rexd server's tenant-aware scheduler (see below),
-// WithNoVectorize forces the row-at-a-time paths, WithBatchSize,
-// WithMaxStrata, and friends tune execution:
+// WithBatchSize, WithMaxStrata, and friends tune execution:
 //
 //	res, err := s.QueryCtx(ctx, query,
 //		rex.WithTenant("acme"), rex.WithPriority(rex.PriorityHigh))
@@ -76,10 +75,9 @@
 //
 // Internally the engine executes columnar: delta batches flow between
 // operators as typed column vectors, travel the wire in a near-zero-copy
-// frame layout, and recycle through per-round allocation pools. This is
-// transparent — results are bit-identical with Options.NoVectorize, which
-// forces the row-at-a-time paths (handler and UDF operators always run
-// row-at-a-time; the engine bridges automatically).
+// frame layout, and recycle through per-round allocation pools. Handler
+// and UDF operators run row-at-a-time; the engine bridges to them
+// automatically.
 //
 // See the examples/ directory for PageRank, shortest-path, and K-means.
 package rex
@@ -129,8 +127,8 @@ type (
 	// It is the unit of multi-process execution (Session.RunWorkload).
 	Workload = job.Spec
 	// PoolStats is buffer-pool traffic for paged (spill-to-disk) stores:
-	// hits, misses, evictions, and bytes spilled. Reported by
-	// Session.PoolStats on in-process sessions opened with WithSpillDir.
+	// hits, misses, evictions, and bytes spilled. Reported in
+	// Session.Stats on in-process sessions opened with WithSpillDir.
 	PoolStats = storage.PoolStats
 )
 

@@ -233,7 +233,7 @@ func (tl *tableLog) fold() {
 }
 
 // Open boots a session. With no options it is an in-process 4-node
-// cluster, the modern equivalent of NewCluster:
+// cluster:
 //
 //	s, err := rex.Open(ctx, rex.WithInProc(4))
 //	defer s.Close()
@@ -388,21 +388,6 @@ func (s *Session) Close() error {
 		}
 		return err
 	}
-}
-
-// PoolStats aggregates buffer-pool traffic across an in-process session's
-// paged stores: hits, misses, evictions, and bytes spilled to page files.
-// All-zero without WithSpillDir, and on TCP/server sessions (daemon pools
-// are reported by their own processes).
-//
-// Deprecated: use Session.Stats — the unified snapshot; its Pool field
-// carries the same record. PoolStats is a thin wrapper kept for source
-// compatibility.
-func (s *Session) PoolStats() PoolStats {
-	if s.eng == nil {
-		return PoolStats{}
-	}
-	return s.eng.PoolStats()
 }
 
 // lock acquires the session for one query, rejecting closed sessions
@@ -814,14 +799,6 @@ func (s *Session) WhileHandler(name string,
 	return s.cat.RegisterWhileHandler(&uda.FuncWhileHandler{HName: name, Fn: fn})
 }
 
-// Query compiles and executes an RQL query with default options.
-//
-// Deprecated: use QueryCtx — the canonical, context-first entry point.
-// Query is a thin wrapper kept for source compatibility.
-func (s *Session) Query(src string) (*Result, error) {
-	return s.QueryCtx(context.Background(), src)
-}
-
 // QueryCtx compiles and executes an RQL query under a context: cancelling
 // it (or hitting its deadline) aborts the query between strata with
 // context.Canceled / DeadlineExceeded, and the session stays usable for
@@ -854,16 +831,6 @@ func (s *Session) QueryCtx(ctx context.Context, src string, qopts ...QueryOption
 	}
 	defer s.mu.Unlock()
 	return s.runInProcLocked(ctx, plan, opts)
-}
-
-// QueryWithOptions is QueryCtx with a background context and a struct
-// options form.
-//
-// Deprecated: use QueryCtx with QueryOptions (WithOptions bridges an
-// existing Options value). QueryWithOptions is a thin wrapper kept for
-// source compatibility.
-func (s *Session) QueryWithOptions(src string, opts Options) (*Result, error) {
-	return s.QueryCtx(context.Background(), src, WithOptions(opts))
 }
 
 // RunPlan executes a hand-built physical plan (the plan-level API used by
@@ -1049,7 +1016,7 @@ func (s *Session) rqlSpec(src string, opts Options) (*job.Spec, error) {
 		VNodes: s.cfg.vnodes, Replication: s.cfg.replication,
 		BatchSize: opts.BatchSize, Compaction: opts.Compaction,
 		Checkpoint: opts.Checkpoint, CompactionHighWater: opts.CompactionHighWater,
-		MaxStrata: opts.MaxStrata, NoVectorize: opts.NoVectorize,
+		MaxStrata:       opts.MaxStrata,
 		Handlers:        s.cfg.handlers,
 		Ingest:          s.ingestSnapshot(),
 		BufferPoolPages: s.cfg.poolPages,

@@ -94,7 +94,11 @@ func TestSpillLargerThanRAMBothTransports(t *testing.T) {
 	if got := runHash(t, sp); got != want {
 		t.Fatalf("in-process spill hash %s != all-in-RAM %s", got, want)
 	}
-	ps := sp.PoolStats()
+	st, err := sp.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := st.Pool
 	if ps.Evictions == 0 || ps.BytesSpilled == 0 {
 		t.Fatalf("pool never paged (hits %d, misses %d, evictions %d, spilled %d bytes): the dataset must exceed the pool for this test to mean anything",
 			ps.Hits, ps.Misses, ps.Evictions, ps.BytesSpilled)

@@ -14,9 +14,9 @@ import (
 // kernel declined back to the row interpreter.
 type KernelStats = exec.KernelStats
 
-// Stats is the unified session snapshot: one call covers what the
-// deprecated per-surface getters (ServerStats, PoolStats) and
-// Subscription.Rounds reported separately. Fields that do not apply to
+// Stats is the unified session snapshot: one call covers the server
+// counters, the buffer-pool counters, and the live subscription's rounds.
+// Fields that do not apply to
 // the session's transport are zero — an in-process session has no
 // Server block, a server session's pool counters live inside it.
 type Stats struct {

@@ -91,7 +91,7 @@ func (st *Stmt) effOpts(opts Options) Options {
 func isZeroOpts(o Options) bool {
 	return o.BatchSize == 0 && o.MaxStrata == 0 && o.Recovery == RecoveryNone &&
 		!o.Checkpoint && !o.Compaction && o.CompactionHighWater == 0 &&
-		!o.Stream && !o.NoVectorize && o.TermFn == nil && o.OnStratum == nil &&
+		!o.Stream && o.TermFn == nil && o.OnStratum == nil &&
 		o.Recover == nil && o.SpillDir == "" && o.BufferPoolPages == 0 &&
 		o.Tenant == "" && o.Priority == 0
 }
@@ -102,15 +102,6 @@ func (st *Stmt) NumParams() int {
 		return st.nparams
 	}
 	return st.prep.NumParams()
-}
-
-// Query executes the statement with the given parameter values and
-// default options.
-//
-// Deprecated: use QueryCtx — the canonical, context-first entry point.
-// Query is a thin wrapper kept for source compatibility.
-func (st *Stmt) Query(args ...Value) (*Result, error) {
-	return st.QueryCtx(context.Background(), Options{}, args...)
 }
 
 // QueryCtx executes the statement under a context with the given options
