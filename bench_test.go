@@ -131,14 +131,24 @@ func BenchmarkAblationCheckpoint(b *testing.B) {
 }
 
 // BenchmarkAblationRing varies virtual-node counts (partition balance vs
-// ring lookup cost).
+// ring lookup cost): Owners lists every replica, Primary is the per-tuple
+// routing lookup of rehash and owned scans, which must not allocate.
 func BenchmarkAblationRing(b *testing.B) {
 	for _, vnodes := range []int{4, 64, 512} {
+		ring := cluster.NewRing(8, vnodes, 3)
 		b.Run(types.AsString(int64(vnodes)), func(b *testing.B) {
-			ring := cluster.NewRing(8, vnodes, 3)
-			b.ResetTimer()
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ring.Owners(types.HashValue(int64(i)))
+			}
+		})
+		snap := cluster.NewSnapshot(ring, []cluster.NodeID{0, 1, 2, 4, 5, 7})
+		b.Run(types.AsString(int64(vnodes))+"/primary", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := snap.Primary(types.HashValue(int64(i))); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

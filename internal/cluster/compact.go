@@ -100,8 +100,9 @@ func (c *Compactor) Add(d types.Delta) {
 	c.live++
 }
 
-// Drain returns the compacted batch and resets the buffer. Cumulative
-// stats survive draining.
+// Drain returns the compacted batch and resets the buffer. The returned
+// slice is fresh (callers may retain it); the internal buffers are kept
+// for the next round of Adds. Cumulative stats survive draining.
 func (c *Compactor) Drain() []types.Delta {
 	var out []types.Delta
 	if c.live > 0 {
@@ -112,9 +113,10 @@ func (c *Compactor) Drain() []types.Delta {
 			}
 		}
 	}
-	c.order = nil
-	c.dead = nil
-	c.last = map[types.Value]int{}
+	clear(c.order) // drop the tuple references before reuse
+	c.order = c.order[:0]
+	c.dead = c.dead[:0]
+	clear(c.last)
 	c.live = 0
 	return out
 }

@@ -14,6 +14,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -79,17 +80,25 @@ func (r *Ring) Nodes() []NodeID { return r.nodes }
 // Owners returns the replication-many distinct nodes responsible for hash h,
 // in ring order (the first is the primary owner).
 func (r *Ring) Owners(h uint64) []NodeID {
-	idx := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
+	idx := r.search(h)
 	owners := make([]NodeID, 0, r.replication)
-	seen := map[NodeID]bool{}
 	for i := 0; len(owners) < r.replication && i < len(r.entries); i++ {
 		e := r.entries[(idx+i)%len(r.entries)]
-		if !seen[e.node] {
-			seen[e.node] = true
+		if !slices.Contains(owners, e.node) {
 			owners = append(owners, e.node)
 		}
 	}
 	return owners
+}
+
+// search returns the index of the first entry at or past h on the circle,
+// wrapping to entry 0 past the last one.
+func (r *Ring) search(h uint64) int {
+	idx := sort.Search(len(r.entries), func(i int) bool { return r.entries[i].hash >= h })
+	if idx == len(r.entries) {
+		return 0
+	}
+	return idx
 }
 
 // Snapshot is the partition snapshot distributed with every query (§4.1):
@@ -101,6 +110,10 @@ type Snapshot struct {
 	alive map[NodeID]bool
 	// aliveList caches alive node ids in order.
 	aliveList []NodeID
+	// primaryAt[i] is the first alive node met walking the ring from
+	// entry i, or -1 when no node is alive: Primary is a search plus a
+	// lookup in it.
+	primaryAt []NodeID
 }
 
 // NewSnapshot captures the ring with the given live nodes.
@@ -111,6 +124,19 @@ func NewSnapshot(r *Ring, alive []NodeID) *Snapshot {
 	}
 	s.aliveList = append(s.aliveList, alive...)
 	sort.Slice(s.aliveList, func(i, j int) bool { return s.aliveList[i] < s.aliveList[j] })
+	// Two backward passes: the first fills every entry with an alive node
+	// at or after it; the second carries the first alive node past the
+	// end of the ring round to the entries behind the last alive one.
+	s.primaryAt = make([]NodeID, len(r.entries))
+	next := NodeID(-1)
+	for pass := 0; pass < 2; pass++ {
+		for i := len(r.entries) - 1; i >= 0; i-- {
+			if s.alive[r.entries[i].node] {
+				next = r.entries[i].node
+			}
+			s.primaryAt[i] = next
+		}
+	}
 	return s
 }
 
@@ -124,21 +150,13 @@ func (s *Snapshot) AliveNodes() []NodeID { return s.aliveList }
 func (s *Snapshot) Ring() *Ring { return s.ring }
 
 // Primary returns the first alive owner of hash h — the node a rehash
-// routes the key to under this snapshot.
+// routes the key to under this snapshot. When every configured replica is
+// dead it is the next alive node in ring order past them, so the query can
+// still complete; either way it is the first alive node met walking the
+// ring from h.
 func (s *Snapshot) Primary(h uint64) (NodeID, error) {
-	for _, n := range s.ring.Owners(h) {
-		if s.alive[n] {
-			return n, nil
-		}
-	}
-	// All configured replicas dead: fall back to any alive node in ring
-	// order past the owners so the query can still complete.
-	idx := sort.Search(len(s.ring.entries), func(i int) bool { return s.ring.entries[i].hash >= h })
-	for i := 0; i < len(s.ring.entries); i++ {
-		e := s.ring.entries[(idx+i)%len(s.ring.entries)]
-		if s.alive[e.node] {
-			return e.node, nil
-		}
+	if n := s.primaryAt[s.ring.search(h)]; n >= 0 {
+		return n, nil
 	}
 	return 0, fmt.Errorf("cluster: no alive node for hash %d", h)
 }

@@ -258,13 +258,21 @@ const dictRefBase = 8
 // profit from the indirection.
 const dictMinSize = 3
 
+// countsPool recycles EncodeDeltas' value-count maps, which are cleared
+// before they go back. A map that grew past maxPooledCounts entries is
+// dropped instead: clear keeps a map's buckets, and ranging over a huge
+// empty map would tax every later small batch.
+var countsPool = sync.Pool{New: func() any { return map[types.Value]int{} }}
+
+const maxPooledCounts = 1 << 13
+
 // EncodeDeltas serializes a delta batch to the wire format: a per-batch
 // dictionary of repeated column values followed by the deltas, each value
 // either inline (types codec) or a dictionary reference. Entries are
 // ordered by descending occurrence so the hottest values get 1-byte
 // references.
 func EncodeDeltas(batch []types.Delta) []byte {
-	counts := map[types.Value]int{}
+	counts := countsPool.Get().(map[types.Value]int)
 	countTuple := func(t types.Tuple) {
 		for _, v := range t {
 			if v == nil {
@@ -281,6 +289,7 @@ func EncodeDeltas(batch []types.Delta) []byte {
 			countTuple(d.Old)
 		}
 	}
+	distinct := len(counts)
 	var dict []types.Value
 	for v, n := range counts {
 		if n >= 2 {
@@ -301,7 +310,9 @@ func EncodeDeltas(batch []types.Delta) []byte {
 		}
 		return types.ValueCompare(dict[i], dict[j]) < 0
 	})
-	index := make(map[types.Value]int, len(dict))
+	// The counts are spent: the same map becomes the dictionary index.
+	index := counts
+	clear(index)
 	for i, v := range dict {
 		index[v] = i
 	}
@@ -331,6 +342,10 @@ func EncodeDeltas(batch []types.Delta) []byte {
 		if d.Op == types.OpReplace {
 			appendTuple(d.Old)
 		}
+	}
+	clear(index)
+	if distinct <= maxPooledCounts {
+		countsPool.Put(index)
 	}
 	return buf
 }

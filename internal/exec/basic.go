@@ -539,20 +539,23 @@ func (p *projectOp) Punct(port, stratum int, closed bool) error {
 // table-valued function whose results are emitted (§4.2). TVFs may create
 // or manipulate annotations arbitrarily, like applyFunction.
 type tvfOp struct {
-	fn   *catalog.TVFDef
-	outs outputs
+	fn    *catalog.TVFDef
+	outs  outputs
+	batch int // output chunk size (Context.BatchSize)
 }
 
 func (o *tvfOp) Push(port int, batch []types.Delta) error {
-	var out []types.Delta
+	em := newEmitter(o.outs, o.batch)
 	for _, d := range batch {
 		res, err := o.fn.Fn(d)
 		if err != nil {
 			return fmt.Errorf("exec: TVF %s: %w", o.fn.Name, err)
 		}
-		out = append(out, res...)
+		if err := em.emit(res...); err != nil {
+			return err
+		}
 	}
-	return o.outs.send(out)
+	return em.flush()
 }
 
 func (o *tvfOp) Punct(port, stratum int, closed bool) error {

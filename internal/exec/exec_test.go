@@ -123,7 +123,7 @@ func TestProjectMemoization(t *testing.T) {
 func TestJoinDefaultDeltaRules(t *testing.T) {
 	c := &collector{}
 	spec := &OpSpec{ID: 0, Kind: OpHashJoin, LeftKey: []int{0}, RightKey: []int{0}, ImmutablePort: -1}
-	j := newHashJoinOp(spec, nil)
+	j := newHashJoinOp(spec, &Context{}, nil)
 	j.outs = outputs{{op: c, port: 0}}
 
 	// Left insert with empty right: no output.

@@ -20,8 +20,9 @@ import (
 // user-defined aggregator's AGGSTATE/AGGRESULT handlers and resets per
 // stratum (the MapReduce-reduce semantics the wrappers need).
 type groupByOp struct {
-	spec *OpSpec
-	outs outputs
+	spec  *OpSpec
+	outs  outputs
+	batch int // UDA output chunk size (Context.BatchSize)
 
 	tracker *portTracker
 
@@ -315,7 +316,7 @@ func (g *groupByOp) apply(op types.Op, tup, old types.Tuple) error {
 }
 
 func (g *groupByOp) pushUDA(batch []types.Delta) error {
-	var out []types.Delta
+	em := newEmitter(g.outs, g.batch)
 	for _, d := range batch {
 		key := d.Tup.Key(g.spec.GroupKey)
 		st, ok := g.udaStates[key]
@@ -328,9 +329,11 @@ func (g *groupByOp) pushUDA(batch []types.Delta) error {
 			return fmt.Errorf("exec: UDA %s: %w", g.udaAgg.Name(), err)
 		}
 		g.udaStates[key] = nst
-		out = append(out, intermediate...)
+		if err := em.emit(intermediate...); err != nil {
+			return err
+		}
 	}
-	return g.outs.send(out)
+	return em.flush()
 }
 
 func evalArgs(exprs []expr.Expr, t types.Tuple) ([]types.Value, error) {

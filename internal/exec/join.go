@@ -15,8 +15,9 @@ import (
 // Each input tuple is accumulated into its side's bucket and immediately
 // probed against the opposite bucket — the pipelined form of §3.2.
 type hashJoinOp struct {
-	spec *OpSpec
-	outs outputs
+	spec  *OpSpec
+	outs  outputs
+	batch int // output chunk size (Context.BatchSize)
 
 	tracker *portTracker
 	handler uda.JoinHandler
@@ -27,9 +28,10 @@ type hashJoinOp struct {
 	dirty [2]map[types.Value]bool
 }
 
-func newHashJoinOp(spec *OpSpec, handler uda.JoinHandler) *hashJoinOp {
+func newHashJoinOp(spec *OpSpec, ctx *Context, handler uda.JoinHandler) *hashJoinOp {
 	return &hashJoinOp{
 		spec:    spec,
+		batch:   ctx.BatchSize,
 		tracker: newPortTracker(2),
 		handler: handler,
 		left:    map[types.Value]*uda.TupleSet{},
@@ -54,19 +56,19 @@ func (j *hashJoinOp) keyOf(port int, t types.Tuple) types.Value {
 	return t.Key(j.spec.RightKey)
 }
 
+// Push joins each delta against the opposite side, streaming the results
+// downstream in BatchSize chunks as they are produced.
 func (j *hashJoinOp) Push(port int, batch []types.Delta) error {
 	if port != 0 && port != 1 {
 		return fmt.Errorf("exec: join port %d out of range", port)
 	}
-	var out []types.Delta
+	em := newEmitter(j.outs, j.batch)
 	for _, d := range batch {
-		res, err := j.processDelta(port, d)
-		if err != nil {
+		if err := j.processDelta(&em, port, d); err != nil {
 			return err
 		}
-		out = append(out, res...)
 	}
-	return j.outs.send(out)
+	return em.flush()
 }
 
 // PushBatch is the columnar join path: rows are processed straight off the
@@ -81,33 +83,27 @@ func (j *hashJoinOp) PushBatch(port int, b *types.DeltaBatch) error {
 	if j.handler != nil {
 		return j.Push(port, b.Deltas())
 	}
-	var out []types.Delta
+	em := newEmitter(j.outs, j.batch)
 	for i := 0; i < b.Len(); i++ {
-		res, err := j.processDelta(port, b.Delta(i))
-		if err != nil {
+		if err := j.processDelta(&em, port, b.Delta(i)); err != nil {
 			return err
 		}
-		out = append(out, res...)
 	}
-	return j.outs.send(out)
+	return em.flush()
 }
 
-func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error) {
+// processDelta applies d to its side's bucket and emits the join results.
+func (j *hashJoinOp) processDelta(em *emitter, port int, d types.Delta) error {
 	key := j.keyOf(port, d.Tup)
 	if d.Op == types.OpReplace {
 		// A replacement whose key changed must be split into a deletion at
 		// the old key and an insertion at the new key.
 		oldKey := j.keyOf(port, d.Old)
 		if !types.ValueEq(key, oldKey) {
-			del, err := j.processDelta(port, types.Delete(d.Old))
-			if err != nil {
-				return nil, err
+			if err := j.processDelta(em, port, types.Delete(d.Old)); err != nil {
+				return err
 			}
-			ins, err := j.processDelta(port, types.Insert(d.Tup))
-			if err != nil {
-				return nil, err
-			}
-			return append(del, ins...), nil
+			return j.processDelta(em, port, types.Insert(d.Tup))
 		}
 	}
 	lb := j.bucket(j.left, key)
@@ -117,7 +113,7 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error
 		lv, rv := lb.Version(), rb.Version()
 		res, err := j.handler.Update(lb, rb, d, port == 0)
 		if err != nil {
-			return nil, fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
+			return fmt.Errorf("exec: join handler %s: %w", j.handler.Name(), err)
 		}
 		if lb.Version() != lv {
 			j.dirty[0][key] = true
@@ -125,30 +121,31 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error
 		if rb.Version() != rv {
 			j.dirty[1][key] = true
 		}
-		return res, nil
+		return em.emit(res...)
 	}
 
 	mine, opp := lb, rb
 	if port == 1 {
 		mine, opp = rb, lb
 	}
-	var out []types.Delta
-	probe := func(op types.Op, t types.Tuple) {
+	probe := func(op types.Op, t types.Tuple) error {
 		for _, o := range opp.Tuples {
-			joined := joinTuples(port, t, o)
-			out = append(out, types.Delta{Op: op, Tup: joined})
+			if err := em.emit(types.Delta{Op: op, Tup: joinTuples(port, t, o)}); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
 	switch d.Op {
 	case types.OpInsert:
 		mine.Add(d.Tup)
 		j.dirty[port][key] = true
-		probe(types.OpInsert, d.Tup)
+		return probe(types.OpInsert, d.Tup)
 	case types.OpDelete:
 		if mine.Remove(d.Tup) {
 			j.dirty[port][key] = true
 		}
-		probe(types.OpDelete, d.Tup)
+		return probe(types.OpDelete, d.Tup)
 	case types.OpReplace:
 		// Same-key replacement: revise the bucket, emit replacements for
 		// every matching opposite tuple.
@@ -159,7 +156,9 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error
 			j.dirty[port][key] = true
 		}
 		for _, o := range opp.Tuples {
-			out = append(out, types.Replace(joinTuples(port, d.Old, o), joinTuples(port, d.Tup, o)))
+			if err := em.emit(types.Replace(joinTuples(port, d.Old, o), joinTuples(port, d.Tup, o))); err != nil {
+				return err
+			}
 		}
 	case types.OpUpdate:
 		// Without a handler, δ() has no special semantics: the annotation
@@ -167,9 +166,9 @@ func (j *hashJoinOp) processDelta(port int, d types.Delta) ([]types.Delta, error
 		// an insertion for state purposes and output deltas keep δ.
 		mine.Add(d.Tup)
 		j.dirty[port][key] = true
-		probe(types.OpUpdate, d.Tup)
+		return probe(types.OpUpdate, d.Tup)
 	}
-	return out, nil
+	return nil
 }
 
 // joinTuples concatenates left fields then right fields regardless of which

@@ -12,6 +12,12 @@ import (
 // Operator is a push-based physical operator instance on one worker node.
 // Operators run on the node's single event-loop goroutine, so they are
 // free of locks.
+//
+// Ownership: a pushed slice is borrowed for the duration of the call, like
+// a BatchOperator's batch. An implementation copies the Delta values it
+// keeps (the tuples they point to may be retained) and never retains the
+// slice itself, because the caller reuses it once the call returns. All
+// nine Push implementations comply, and the chunked emitter relies on it.
 type Operator interface {
 	// Push processes a batch of deltas arriving on the given input port.
 	Push(port int, batch []types.Delta) error
@@ -118,6 +124,46 @@ func (o outputs) send(batch []types.Delta) error {
 		}
 	}
 	return nil
+}
+
+// emitter streams one call's output to its consumers in chunks of at most
+// size deltas, reusing a single buffer across the chunks (consumers borrow
+// each chunk, per the Operator.Push contract). Operators whose output can
+// fan out far beyond their input build one per Push call and flush it
+// before returning. Keeping it local to the call means a synchronous
+// re-entry into the same operator builds its own buffer and cannot
+// clobber a chunk in flight. Delta order is preserved.
+type emitter struct {
+	outs outputs
+	size int
+	buf  []types.Delta
+}
+
+func newEmitter(outs outputs, size int) emitter {
+	if size <= 0 {
+		size = defaultBatchSize
+	}
+	return emitter{outs: outs, size: size}
+}
+
+// emit queues ds, sending every full chunk downstream.
+func (e *emitter) emit(ds ...types.Delta) error {
+	for _, d := range ds {
+		e.buf = append(e.buf, d)
+		if len(e.buf) >= e.size {
+			if err := e.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flush sends the pending partial chunk.
+func (e *emitter) flush() error {
+	err := e.outs.send(e.buf)
+	e.buf = e.buf[:0]
+	return err
 }
 
 // sendBatch pushes a columnar batch to every consumer, using the

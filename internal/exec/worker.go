@@ -760,7 +760,7 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &tvfOp{fn: fn}, nil
+		return &tvfOp{fn: fn, batch: ctx.BatchSize}, nil
 	case OpHashJoin:
 		var handler uda.JoinHandler
 		if spec.JoinHandlerName != "" {
@@ -770,7 +770,7 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 			}
 			handler = h
 		}
-		return newHashJoinOp(spec, handler), nil
+		return newHashJoinOp(spec, ctx, handler), nil
 	case OpGroupBy:
 		var agg uda.Aggregator
 		if spec.UDAName != "" {
@@ -780,7 +780,12 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 			}
 			agg = def.Agg
 		}
-		return newGroupByOp(spec, max(1, len(spec.Inputs)), agg, w.inputKinds(spec))
+		g, err := newGroupByOp(spec, max(1, len(spec.Inputs)), agg, w.inputKinds(spec))
+		if err != nil {
+			return nil, err
+		}
+		g.batch = ctx.BatchSize
+		return g, nil
 	case OpPreAgg:
 		return newPreAggOp(spec, max(1, len(spec.Inputs)), w.inputKinds(spec))
 	case OpRehash:

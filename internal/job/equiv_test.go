@@ -67,18 +67,11 @@ func equivSpecs(nodes int, seed int64) []*job.Spec {
 
 func clone(s *job.Spec) *job.Spec { c := *s; return &c }
 
-func ratio(in, out int64) float64 {
-	if out == 0 {
-		return 0
-	}
-	return float64(in) / float64(out)
-}
-
 // TestTransportEquivalence is the property check of the transport
 // refactor: the same plan + seed must yield identical result tuples,
-// strata counts, and compaction ratios whether the nodes are goroutines
-// in one process (InProcTransport) or OS-level peers over loopback TCP
-// (TCPTransport). Several seeds vary the data; several workloads vary
+// strata counts, and post-compaction delta counts whether the nodes are
+// goroutines in one process (InProcTransport) or OS-level peers over
+// loopback TCP (TCPTransport). Several seeds vary the data; several workloads vary
 // the plan shape (broadcast, checkpointable fixpoints, handler joins).
 func TestTransportEquivalence(t *testing.T) {
 	const nodes = 3
@@ -111,14 +104,24 @@ func TestTransportEquivalence(t *testing.T) {
 			if spec.Workload == "kmeans" {
 				// The k-means join handler is stateful across arrivals
 				// (each centroid delta re-checks points against the
-				// bucket built so far), so the number of intermediate
-				// adjustments — and with it CompactIn — legitimately
-				// varies with cross-peer arrival order on ANY transport.
-				// The self-cancelling extras still fold away: demand a
-				// comparable ratio, not an identical count.
-				rIn, rTCP := ratio(inRes.CompactIn, inRes.CompactOut), ratio(tcpRes.CompactIn, tcpRes.CompactOut)
-				if tcpRes.CompactOut <= 0 || rTCP < rIn*0.75 || rTCP > rIn*1.25 {
-					t.Errorf("%s seed %d: compaction ratio tcp=%.2f inproc=%.2f", spec.Workload, seed, rTCP, rIn)
+				// bucket built so far), so the intermediate adjustments
+				// vary with cross-node arrival order on ANY transport:
+				// CompactIn, and with it which centroids a node touches
+				// in a stratum (CompactOut), differ from run to run.
+				// What holds exactly is the fold: batches never fill, so
+				// each node flushes once per stratum, and every flush
+				// carries at most one delta per centroid — the centroid
+				// broadcast at most k per node in all, the adjustment
+				// rehash at most k per node once same-centroid δs merge.
+				for _, r := range []struct {
+					name string
+					res  *exec.Result
+				}{{"inproc", inRes}, {"tcp", tcpRes}} {
+					bound := int64(2 * nodes * spec.K * len(r.res.Strata))
+					if r.res.CompactOut <= 0 || r.res.CompactOut > r.res.CompactIn || r.res.CompactOut > bound {
+						t.Errorf("%s seed %d %s: compaction %d/%d, want 0 < out <= in and out <= %d (2 x nodes x k x strata)",
+							spec.Workload, seed, r.name, r.res.CompactIn, r.res.CompactOut, bound)
+					}
 				}
 			} else if tcpRes.CompactIn != inRes.CompactIn || tcpRes.CompactOut != inRes.CompactOut {
 				// SSSP and PageRank aggregate punctuation-aligned, so with

@@ -147,8 +147,14 @@ func TestTenantQuotaBusyOverWire(t *testing.T) {
 	if ct := st.Server.Tenants["calm"]; ct.QuotaRejections != 0 {
 		t.Fatalf("calm tenant collected %d quota rejections", ct.QuotaRejections)
 	}
-	if !srv.gate.idle() {
-		t.Fatal("gate not idle after quota exercise")
+	// Handlers release their slot after writing the reply (deferred), so
+	// the client can see the last answer a moment before the release.
+	deadline := time.Now().Add(10 * time.Second)
+	for !srv.gate.idle() {
+		if time.Now().After(deadline) {
+			t.Fatal("gate not idle after quota exercise")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
