@@ -332,7 +332,11 @@ func (c *serverConn) openStream(ctx context.Context, req srvproto.Request, onRou
 func (c *serverConn) ingest(ctx context.Context, batches map[string][]types.Delta) (*srvproto.Trailer, error) {
 	tables := make(map[string][]byte, len(batches))
 	for table, deltas := range batches {
-		tables[table] = cluster.EncodeDeltas(deltas)
+		enc, err := cluster.EncodeDeltas(deltas)
+		if err != nil {
+			return nil, err
+		}
+		tables[table] = enc
 	}
 	return c.roundTrip(ctx, srvproto.Request{Op: srvproto.OpIngest, Tables: tables})
 }
@@ -374,7 +378,11 @@ func (s *Session) serverStream(ctx context.Context, src string, args []Value, op
 	if err := serverUnsupported(opts); err != nil {
 		return nil, err
 	}
-	req := srvproto.Request{Op: srvproto.OpStream, Src: src, Args: srvproto.EncodeArgs(args), Opts: wireOpts(opts)}
+	enc, err := srvproto.EncodeArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	req := srvproto.Request{Op: srvproto.OpStream, Src: src, Args: enc, Opts: wireOpts(opts)}
 	if err := s.lock(); err != nil {
 		return nil, err
 	}

@@ -187,8 +187,8 @@ func TestIngestLogBoundedUnderChurn(t *testing.T) {
 	if n := sess.ingestLogLen(); n >= 2*ingestLogFoldEvery {
 		t.Fatalf("log retains %d deltas after zero-net churn (fold threshold %d)", n, ingestLogFoldEvery)
 	}
-	if snap := sess.ingestSnapshot(); len(snap) != 0 {
-		t.Fatalf("snapshot after zero-net churn: %d entries, want 0", len(snap))
+	if snap, err := sess.ingestSnapshot(); err != nil || len(snap) != 0 {
+		t.Fatalf("snapshot after zero-net churn: %d entries (err %v), want 0", len(snap), err)
 	}
 
 	// Three net inserts survive the fold: the snapshot is exactly the live
@@ -201,7 +201,10 @@ func TestIngestLogBoundedUnderChurn(t *testing.T) {
 	if err := sess.Insert("graph", live...); err != nil {
 		t.Fatal(err)
 	}
-	snap := sess.ingestSnapshot()
+	snap, err := sess.ingestSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(snap) != 1 {
 		t.Fatalf("snapshot entries = %d, want 1", len(snap))
 	}

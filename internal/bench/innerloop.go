@@ -1,11 +1,13 @@
 // Inner-loop benchmark: the per-round shuffle cycle that dominates the
 // recursive workloads (SSSP, PageRank) — decode an incoming delta frame,
 // hash-route every delta to its destination partition, re-encode the
-// per-destination frames — measured on the row codec path and on the
-// columnar delta-batch path. The two modes process identical delta
-// streams and must route identically (checked, not assumed); the columnar
-// mode's win comes from the near-zero-copy decode, vectorized key
-// hashing, and pooled frame buffers.
+// per-destination frames. Both modes read and write the one columnar
+// frame format: the row mode materializes every delta as a row tuple
+// (DecodeDeltas/EncodeDeltas, the control plane's entry points), the
+// vector mode stays columnar end to end. The two modes must route
+// identically (checked, not assumed); the vector mode's win comes from
+// the near-zero-copy decode, vectorized key hashing, and pooled frame
+// buffers.
 package bench
 
 import (
@@ -19,14 +21,14 @@ import (
 )
 
 // CIInnerLoop records one inner-loop measurement (one workload shape in
-// one mode). RowsPerSec and AllocsPerRound are the trend fields CI gates
-// on; HeapGrowthBytes is the steady-state check — live heap after GC must
+// one mode). RowsPerSec and AllocsPerRound are the vector-mode fields CI
+// gates on; HeapGrowthBytes is the steady-state check — live heap after GC must
 // not grow across 50 pooled rounds (columnar mode only; the row path has
 // no arena to hold steady).
 type CIInnerLoop struct {
 	Workload string `json:"workload"`
-	// Mode is "row" (materialized tuples, row codec) or "vector"
-	// (columnar batches end to end).
+	// Mode is "row" (materialized row tuples) or "vector" (columnar
+	// batches end to end).
 	Mode   string `json:"mode"`
 	Rows   int    `json:"rows"`   // deltas per round
 	Rounds int    `json:"rounds"` // timed rounds
@@ -35,7 +37,7 @@ type CIInnerLoop struct {
 	AllocsPerRound float64 `json:"allocs_per_round"`
 	BytesPerRound  float64 `json:"alloc_bytes_per_round"`
 	// SpeedupVsRow is set on the vector row: vector rows/sec over row
-	// rows/sec for the same workload.
+	// rows/sec for the same workload (reported, not gated).
 	SpeedupVsRow float64 `json:"speedup_vs_row,omitempty"`
 	// HeapGrowthBytes is live-heap growth (post-GC) across 50 additional
 	// steady-state rounds; pooled arenas must hold this at ~zero.
@@ -82,8 +84,8 @@ const (
 // innerLoopKey is the partition key of both workload shapes.
 var innerLoopKey = []int{0}
 
-// rowRound is one row-mode inner loop: decode a row frame, route each
-// materialized delta by key hash, re-encode one frame per destination.
+// rowRound is one row-mode inner loop: decode a frame to row tuples, route
+// each materialized delta by key hash, re-encode one frame per destination.
 // dests persists across rounds, mirroring the rehash operator's reused
 // pending buffers.
 func rowRound(frame []byte, dests [][]types.Delta, sink *int64, sum *uint64) error {
@@ -91,10 +93,11 @@ func rowRound(frame []byte, dests [][]types.Delta, sink *int64, sum *uint64) err
 	if err != nil {
 		return err
 	}
-	flush := func(d int) {
-		payload := cluster.EncodeDeltas(dests[d])
+	flush := func(d int) error {
+		payload, err := cluster.EncodeDeltas(dests[d])
 		*sink += int64(len(payload))
 		dests[d] = dests[d][:0]
+		return err
 	}
 	for _, d := range rows {
 		h := types.HashValue(d.Tup[0])
@@ -102,12 +105,16 @@ func rowRound(frame []byte, dests [][]types.Delta, sink *int64, sum *uint64) err
 		*sum = (*sum ^ (h + uint64(n))) * 1099511628211
 		dests[n] = append(dests[n], d)
 		if len(dests[n]) >= innerLoopFlush {
-			flush(n)
+			if err := flush(n); err != nil {
+				return err
+			}
 		}
 	}
 	for n := range dests {
 		if len(dests[n]) > 0 {
-			flush(n)
+			if err := flush(n); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -117,12 +124,9 @@ func rowRound(frame []byte, dests [][]types.Delta, sink *int64, sum *uint64) err
 // columnar frame, vectorized key hashing into pooled per-destination
 // batches, lazy re-encode through the pooled payload buffers.
 func vecRound(frame []byte, dests []*types.DeltaBatch, scratch types.Tuple, sink *int64, sum *uint64) error {
-	_, cb, err := cluster.DecodeDeltasAny(frame)
+	cb, err := cluster.DecodeDeltaBatch(frame)
 	if err != nil {
 		return err
-	}
-	if cb == nil {
-		return fmt.Errorf("bench: inner loop frame decoded as rows, want columnar")
 	}
 	flush := func(n int) {
 		buf := cluster.GetPayloadBuf()
@@ -155,34 +159,31 @@ func vecRound(frame []byte, dests []*types.DeltaBatch, scratch types.Tuple, sink
 func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 	var out []CIInnerLoop
 	rep := &Report{
-		Title: "Shuffle inner loop (row vs columnar)",
+		Title: "Shuffle inner loop (row tuples vs columnar)",
 		Notes: fmt.Sprintf("%d deltas/round routed across %d partitions; decode → hash-route → re-encode",
 			innerLoopRows, innerLoopNodes),
 		Headers: []string{"workload", "mode", "rows/sec", "allocs/round", "alloc_bytes/round",
 			"speedup", "heap_growth", "checksum", "ms"},
 	}
 	for _, shape := range innerLoopShapes() {
-		// Pre-encode each round's frame in both wire formats outside the
-		// timed region: each mode consumes its own format end to end, as
-		// the engine's dictionary and columnar shuffle edges do.
-		rowFrames := make([][]byte, innerLoopRounds)
-		vecFrames := make([][]byte, innerLoopRounds)
+		// Pre-encode each round's frame outside the timed region; both
+		// modes consume the same frames.
+		frames := make([][]byte, innerLoopRounds)
 		for r := 0; r < innerLoopRounds; r++ {
 			deltas := make([]types.Delta, innerLoopRows)
 			for i := range deltas {
 				deltas[i] = shape.gen(r, i)
 			}
-			rowFrames[r] = cluster.EncodeDeltas(deltas)
-			cb, ok := types.FromDeltas(deltas)
-			if !ok {
-				return nil, fmt.Errorf("bench: %s deltas not batchable", shape.name)
+			frame, err := cluster.EncodeDeltas(deltas)
+			if err != nil {
+				return nil, fmt.Errorf("bench: %s deltas: %w", shape.name, err)
 			}
-			vecFrames[r] = cluster.EncodeDeltaBatch(nil, cb)
+			frames[r] = frame
 		}
 
 		rowDests := make([][]types.Delta, innerLoopNodes)
 		rowRec, err := timeInnerLoop(shape.name, "row", func(r int, sink *int64, sum *uint64) error {
-			return rowRound(rowFrames[r%innerLoopRounds], rowDests, sink, sum)
+			return rowRound(frames[r%innerLoopRounds], rowDests, sink, sum)
 		})
 		if err != nil {
 			return nil, err
@@ -194,7 +195,7 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 		}
 		scratch := make(types.Tuple, 0, 8)
 		vecRec, err := timeInnerLoop(shape.name, "vector", func(r int, sink *int64, sum *uint64) error {
-			return vecRound(vecFrames[r%innerLoopRounds], dests, scratch, sink, sum)
+			return vecRound(frames[r%innerLoopRounds], dests, scratch, sink, sum)
 		})
 		if err != nil {
 			return nil, err
@@ -212,7 +213,7 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 		var sink int64
 		var sum uint64
 		for r := 0; r < 10; r++ {
-			if err := vecRound(vecFrames[r%innerLoopRounds], dests, scratch, &sink, &sum); err != nil {
+			if err := vecRound(frames[r%innerLoopRounds], dests, scratch, &sink, &sum); err != nil {
 				return nil, err
 			}
 		}
@@ -220,7 +221,7 @@ func InnerLoopBench(w io.Writer) ([]CIInnerLoop, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for r := 0; r < 50; r++ {
-			if err := vecRound(vecFrames[r%innerLoopRounds], dests, scratch, &sink, &sum); err != nil {
+			if err := vecRound(frames[r%innerLoopRounds], dests, scratch, &sink, &sum); err != nil {
 				return nil, err
 			}
 		}

@@ -1,10 +1,9 @@
 package cluster
 
-// Wire-codec microbenchmarks: encode/decode round trips of the same delta
-// stream through the dictionary row codec and the columnar batch codec
-// (whose decode aliases the frame and materializes lazily). Compare B/op
-// and allocs/op between the Row/Columnar pairs; CI's bench-micro step
-// uploads the output.
+// Wire-codec microbenchmarks: encode and decode of one delta stream
+// through the columnar batch codec, whose decode aliases the frame and
+// materializes lazily. B/op and allocs/op are the trend signal; CI's
+// bench-micro step uploads the output.
 
 import (
 	"testing"
@@ -24,18 +23,6 @@ func codecStream(n int) []types.Delta {
 	return ds
 }
 
-func BenchmarkEncodeRow(b *testing.B) {
-	rows := codecStream(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		payload := EncodeDeltas(rows)
-		if len(payload) == 0 {
-			b.Fatal("empty payload")
-		}
-	}
-}
-
 func BenchmarkEncodeColumnar(b *testing.B) {
 	cb, ok := types.FromDeltas(codecStream(4096))
 	if !ok {
@@ -53,21 +40,6 @@ func BenchmarkEncodeColumnar(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeRow(b *testing.B) {
-	payload := EncodeDeltas(codecStream(4096))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := DecodeDeltas(payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 4096 {
-			b.Fatal("short decode")
-		}
-	}
-}
-
 // BenchmarkDecodeColumnar is the near-zero-copy path: the decode checks
 // each column payload in one allocation-free pass and aliases it without
 // materializing rows.
@@ -80,11 +52,11 @@ func BenchmarkDecodeColumnar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, dec, err := DecodeDeltasAny(payload)
+		dec, err := DecodeDeltaBatch(payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if dec == nil || dec.Len() != 4096 {
+		if dec.Len() != 4096 {
 			b.Fatal("short decode")
 		}
 	}
@@ -105,7 +77,7 @@ func BenchmarkDecodeColumnarHashRoute(b *testing.B) {
 	b.ResetTimer()
 	var sum uint64
 	for i := 0; i < b.N; i++ {
-		_, dec, err := DecodeDeltasAny(payload)
+		dec, err := DecodeDeltaBatch(payload)
 		if err != nil {
 			b.Fatal(err)
 		}

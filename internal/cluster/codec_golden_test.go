@@ -11,10 +11,8 @@ import (
 	"github.com/rex-data/rex/internal/types"
 )
 
-// goldenBatch has repeated values of every dictionary-eligible kind, a tie
-// in occurrence counts (broken by kind, then value), values too small for
-// the dictionary, NULLs, and a Replace whose Old image shares values with
-// its neighbours.
+// goldenBatch has a column of every vector kind, a mixed-kind column,
+// NULLs, and a Replace, so the frame carries an old-image group.
 func goldenBatch() []types.Delta {
 	return []types.Delta{
 		types.Insert(types.NewTuple(int64(1000), "vertex", 0.25, nil)),
@@ -28,11 +26,12 @@ func goldenBatch() []types.Delta {
 	}
 }
 
-// TestEncodeDeltasGolden pins the dictionary wire format to committed
-// bytes. The batch is encoded twice in a row so the second encode runs on
-// a pooled, cleared count map; both must match the golden file. A
-// deliberate format change replaces the file with the hex the failure
-// prints.
+// TestEncodeDeltasGolden pins the wire format to committed bytes. The
+// golden file is the columnar encoding of goldenBatch as
+// EncodeDeltaBatch(FromDeltas(goldenBatch())) wrote it, so EncodeDeltas
+// must match that encoder byte for byte. The batch is encoded twice in a
+// row so the second encode runs on a pooled, reset batch. A deliberate
+// format change replaces the file with the hex the failure prints.
 func TestEncodeDeltasGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/encode_deltas.golden")
 	if err != nil {
@@ -43,9 +42,16 @@ func TestEncodeDeltasGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		if got := EncodeDeltas(goldenBatch()); !bytes.Equal(got, want) {
+		if got := mustEncode(t, goldenBatch()); !bytes.Equal(got, want) {
 			t.Fatalf("pass %d: encoding drifted from golden\n got %x\nwant %x", pass, got, want)
 		}
+	}
+	cb, ok := types.FromDeltas(goldenBatch())
+	if !ok {
+		t.Fatal("golden batch is ragged")
+	}
+	if got := EncodeDeltaBatch(nil, cb); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeDeltaBatch drifted from golden\n got %x\nwant %x", got, want)
 	}
 	back, err := DecodeDeltas(want)
 	if err != nil {

@@ -159,18 +159,8 @@ func (t *InProcTransport) Send(msg Message) {
 	inbox.Put(msg)
 }
 
-// SendData encodes and ships a delta batch along a plan edge using the
-// dictionary wire format; it is the shuffle path's send primitive. It
-// returns the encoded payload size — note Metrics.BytesSent records the
-// full frame (payload plus header), so do not add the return value to
-// those counters.
 func (t *InProcTransport) SendData(from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int {
-	payload := EncodeDeltas(batch)
-	t.Send(Message{
-		From: from, To: to, Edge: edge, Stratum: stratum,
-		Kind: MsgData, Payload: payload, Count: len(batch), Epoch: epoch,
-	})
-	return len(payload)
+	return sendData(t, from, to, edge, stratum, epoch, batch)
 }
 
 // InboxLen reports the queue depth of worker n's mailbox (0 for dead or

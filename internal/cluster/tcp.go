@@ -417,15 +417,8 @@ func (t *TCPTransport) Send(msg Message) {
 	_ = t.write(addr, frame)
 }
 
-// SendData encodes and ships a delta batch along a plan edge; see
-// InProcTransport.SendData for the metrics contract.
 func (t *TCPTransport) SendData(from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int {
-	payload := EncodeDeltas(batch)
-	t.Send(Message{
-		From: from, To: to, Edge: edge, Stratum: stratum,
-		Kind: MsgData, Payload: payload, Count: len(batch), Epoch: epoch,
-	})
-	return len(payload)
+	return sendData(t, from, to, edge, stratum, epoch, batch)
 }
 
 // SendToRequestor delivers a control frame to the requestor: locally on

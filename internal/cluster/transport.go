@@ -190,8 +190,10 @@ type Transport interface {
 	// wire-encoded and their measured size accounted; loopback
 	// self-sends skip the wire and the counters.
 	Send(msg Message)
-	// SendData encodes and ships a delta batch along a plan edge,
-	// returning the encoded payload size.
+	// SendData ships a row-form delta batch along a plan edge as MsgData
+	// frames, returning the encoded payload size. The engine's shuffle
+	// encodes its own columnar batches and uses Send; SendData serves
+	// callers holding rows, and wrappers that decorate a Transport.
 	SendData(from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int
 	// SendToRequestor delivers a control frame to the requestor.
 	SendToRequestor(msg Message)
@@ -226,4 +228,37 @@ type Transport interface {
 // after a successful run, before reading byte counts.
 type MetricsSyncer interface {
 	SyncMetrics() error
+}
+
+// sendData implements SendData for both transports: the batch ships as
+// columnar frames, one per run of equal-arity deltas, so even a ragged
+// batch arrives whole and in order. Metrics.BytesSent records the full
+// frames (payload plus header), so the returned payload size must not be
+// added to those counters.
+func sendData(t Transport, from, to NodeID, edge, stratum, epoch int, batch []types.Delta) int {
+	b := types.GetBatch()
+	defer types.PutBatch(b)
+	n := 0
+	flush := func() {
+		if b.Len() == 0 {
+			return
+		}
+		// Freshly allocated, not pooled: a loopback Send delivers the
+		// payload by reference.
+		payload := EncodeDeltaBatch(nil, b)
+		n += len(payload)
+		t.Send(Message{
+			From: from, To: to, Edge: edge, Stratum: stratum,
+			Kind: MsgData, Payload: payload, Count: b.Len(), Epoch: epoch,
+		})
+		b.Reset()
+	}
+	for _, d := range batch {
+		if !b.CanAppend(d) {
+			flush()
+		}
+		b.Append(d)
+	}
+	flush()
+	return n
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/rex-data/rex/internal/types"
@@ -18,15 +17,13 @@ import (
 //
 //   - Frame layer: EncodeFrame/DecodeFrame serialize a whole Message
 //     (header fields varint-packed, payload length-prefixed).
-//   - Batch layer: two delta payload formats, discriminated by their
-//     leading tag byte. EncodeDeltas/DecodeDeltas is the row format with
-//     a per-batch dictionary for repeated column values (the compactor's
-//     output ships through it, where the dictionary wins on the highly
-//     repetitive coalesced streams). EncodeDeltaBatch is the columnar
-//     format: the encoded frame IS the in-memory DeltaBatch layout, so
-//     DecodeDeltaBatch validates the column payloads in one pass and
-//     aliases the op vector and payloads out of the frame buffer — values
-//     materialize lazily, on first operator access.
+//   - Batch layer: one delta payload format, the columnar DeltaBatch
+//     layout behind a tag byte. The encoded frame IS the in-memory
+//     layout, so DecodeDeltaBatch validates the column payloads in one
+//     pass and aliases the op vector and payloads out of the frame
+//     buffer; values materialize lazily, on first operator access.
+//     EncodeDeltas/DecodeDeltas are its row-form entry points, for the
+//     control plane and the compactor's output.
 
 // wireVersion leads every frame; decoders reject unknown versions.
 // History: 1 = PR 1 layout; 2 adds the optional credit-grant field
@@ -55,7 +52,8 @@ const (
 )
 
 // EncodeFrame serializes msg to its wire representation. The payload is
-// treated as opaque bytes; batch payloads are produced by EncodeDeltas.
+// treated as opaque bytes; delta payloads are produced by EncodeDeltaBatch
+// or EncodeDeltas.
 func EncodeFrame(msg Message) []byte {
 	buf := make([]byte, 0, 24+len(msg.Table)+len(msg.Payload))
 	buf = append(buf, wireVersion, byte(msg.Kind))
@@ -187,12 +185,9 @@ func DecodeFrame(buf []byte) (Message, error) {
 	return msg, nil
 }
 
-// deltaFormatDict tags a dictionary-compressed delta batch; it is outside
-// the value-kind range so corrupted or legacy payloads fail loudly.
-const deltaFormatDict = 0xD1
-
-// deltaFormatCol tags a columnar delta batch (types.AppendDeltaBatch
-// layout after the tag byte).
+// deltaFormatCol tags a delta payload (types.AppendDeltaBatch layout after
+// the tag byte). It is outside the value-kind range, so corrupt payloads
+// and those of the retired dictionary format (0xD1) fail loudly.
 const deltaFormatCol = 0xC3
 
 // payloadBufPool recycles encode buffers for delta payloads. The frame
@@ -227,224 +222,49 @@ func EncodeDeltaBatch(buf []byte, b *types.DeltaBatch) []byte {
 	return types.AppendDeltaBatch(buf, b)
 }
 
-// DecodeDeltasAny decodes a delta payload of either format. Columnar
-// payloads return a lazily-materializing batch (aliasing buf) and a nil
-// row slice; dictionary payloads return rows and a nil batch. The worker
-// hot path uses this so columnar frames reach vector-capable operators
-// without ever materializing row tuples.
-func DecodeDeltasAny(buf []byte) ([]types.Delta, *types.DeltaBatch, error) {
-	if len(buf) > 0 && buf[0] == deltaFormatCol {
-		b, used, err := types.DecodeDeltaBatch(buf[1:])
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: decode delta batch: %w", err)
-		}
-		if used != len(buf)-1 {
-			return nil, nil, fmt.Errorf("cluster: decode delta batch: %d trailing bytes", len(buf)-1-used)
-		}
-		return nil, b, nil
-	}
-	rows, err := decodeDict(buf)
-	return rows, nil, err
-}
-
-// dictRefBase splits the per-value token space: tokens below it are inline
-// type-kind bytes (the types codec's own first byte), tokens at or above it
-// reference dictionary entry token-dictRefBase. Kinds today occupy 0..4;
-// the gap leaves room for new kinds without a format bump.
-const dictRefBase = 8
-
-// dictMinSize is the smallest encoded value worth dictionary-encoding: a
-// reference costs 1-2 bytes, so 2-byte values (small ints, bools) never
-// profit from the indirection.
-const dictMinSize = 3
-
-// countsPool recycles EncodeDeltas' value-count maps, which are cleared
-// before they go back. A map that grew past maxPooledCounts entries is
-// dropped instead: clear keeps a map's buckets, and ranging over a huge
-// empty map would tax every later small batch.
-var countsPool = sync.Pool{New: func() any { return map[types.Value]int{} }}
-
-const maxPooledCounts = 1 << 13
-
-// EncodeDeltas serializes a delta batch to the wire format: a per-batch
-// dictionary of repeated column values followed by the deltas, each value
-// either inline (types codec) or a dictionary reference. Entries are
-// ordered by descending occurrence so the hottest values get 1-byte
-// references.
-func EncodeDeltas(batch []types.Delta) []byte {
-	counts := countsPool.Get().(map[types.Value]int)
-	countTuple := func(t types.Tuple) {
-		for _, v := range t {
-			if v == nil {
-				continue
-			}
-			if types.ValueSize(v) >= dictMinSize {
-				counts[v]++
-			}
-		}
-	}
-	for _, d := range batch {
-		countTuple(d.Tup)
-		if d.Op == types.OpReplace {
-			countTuple(d.Old)
-		}
-	}
-	distinct := len(counts)
-	var dict []types.Value
-	for v, n := range counts {
-		if n >= 2 {
-			dict = append(dict, v)
-		}
-	}
-	// Deterministic order: hottest first (1-byte refs), ties broken by
-	// kind then value so identical batches encode identically. The kind
-	// tiebreak matters: ValueCompare treats int64(3) and float64(3.0) as
-	// equal, which would leave their order to map iteration.
-	sort.Slice(dict, func(i, j int) bool {
-		if counts[dict[i]] != counts[dict[j]] {
-			return counts[dict[i]] > counts[dict[j]]
-		}
-		ki, kj := types.KindOf(dict[i]), types.KindOf(dict[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return types.ValueCompare(dict[i], dict[j]) < 0
-	})
-	// The counts are spent: the same map becomes the dictionary index.
-	index := counts
-	clear(index)
-	for i, v := range dict {
-		index[v] = i
-	}
-
-	buf := make([]byte, 0, 16+8*len(batch))
-	buf = append(buf, deltaFormatDict)
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, v := range dict {
-		buf = types.AppendValue(buf, v)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(batch)))
-	appendTuple := func(t types.Tuple) {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		for _, v := range t {
-			if v != nil {
-				if i, ok := index[v]; ok {
-					buf = binary.AppendUvarint(buf, uint64(dictRefBase+i))
-					continue
-				}
-			}
-			buf = types.AppendValue(buf, v)
-		}
-	}
-	for _, d := range batch {
-		buf = append(buf, byte(d.Op))
-		appendTuple(d.Tup)
-		if d.Op == types.OpReplace {
-			appendTuple(d.Old)
-		}
-	}
-	clear(index)
-	if distinct <= maxPooledCounts {
-		countsPool.Put(index)
-	}
-	return buf
-}
-
-// DecodeDeltas decodes a delta payload of either format to row form.
-// Columnar payloads are fully materialized (fresh tuples, safe to
-// retain); callers that can consume vectors use DecodeDeltasAny instead.
-func DecodeDeltas(buf []byte) ([]types.Delta, error) {
-	rows, b, err := DecodeDeltasAny(buf)
-	if b != nil {
-		return b.Deltas(), nil
-	}
-	return rows, err
-}
-
-// decodeDict decodes a dictionary-format delta payload.
-func decodeDict(buf []byte) ([]types.Delta, error) {
+// DecodeDeltaBatch decodes a delta payload to a lazily-materializing
+// batch that aliases buf. The worker hot path uses it so frames reach
+// vector-capable operators without ever materializing row tuples.
+func DecodeDeltaBatch(buf []byte) (*types.DeltaBatch, error) {
 	if len(buf) == 0 {
-		return nil, fmt.Errorf("cluster: decode deltas: empty buffer")
+		return nil, fmt.Errorf("cluster: decode delta batch: empty buffer")
 	}
-	if buf[0] != deltaFormatDict {
-		return nil, fmt.Errorf("cluster: decode deltas: unknown format 0x%02X", buf[0])
+	if buf[0] != deltaFormatCol {
+		return nil, fmt.Errorf("cluster: decode delta batch: unknown format 0x%02X", buf[0])
 	}
-	off := 1
-	// Counts are bounded by the remaining bytes (every entry costs at
-	// least one byte) before any allocation, so forged counts error out
-	// instead of panicking in makeslice.
-	nd, n := binary.Uvarint(buf[off:])
-	if n <= 0 || nd > uint64(len(buf)-off-n) {
-		return nil, fmt.Errorf("cluster: decode deltas: bad dictionary count")
+	b, used, err := types.DecodeDeltaBatch(buf[1:])
+	if err != nil {
+		return nil, fmt.Errorf("cluster: decode delta batch: %w", err)
 	}
-	off += n
-	dict := make([]types.Value, nd)
-	for i := range dict {
-		v, used, err := types.DecodeValue(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("cluster: decode deltas: dictionary entry %d: %w", i, err)
+	if used != len(buf)-1 {
+		return nil, fmt.Errorf("cluster: decode delta batch: %d trailing bytes", len(buf)-1-used)
+	}
+	return b, nil
+}
+
+// EncodeDeltas is the row-form entry point to the columnar encoder: it
+// appends batch to a pooled DeltaBatch and encodes that. A ragged batch
+// (rows of differing arity, or replaces whose old images differ in
+// arity) has no columnar layout and is an error.
+func EncodeDeltas(batch []types.Delta) ([]byte, error) {
+	b := types.GetBatch()
+	defer types.PutBatch(b)
+	for i, d := range batch {
+		if !b.CanAppend(d) {
+			return nil, fmt.Errorf("cluster: encode deltas: delta %d: arity differs from the batch", i)
 		}
-		dict[i] = v
-		off += used
+		b.Append(d)
 	}
-	nb, n := binary.Uvarint(buf[off:])
-	if n <= 0 || nb > uint64(len(buf)-off-n) {
-		return nil, fmt.Errorf("cluster: decode deltas: bad batch count")
+	return EncodeDeltaBatch(nil, b), nil
+}
+
+// DecodeDeltas decodes a delta payload to row form. Every tuple is
+// freshly allocated and safe to retain; callers that can consume vectors
+// use DecodeDeltaBatch instead.
+func DecodeDeltas(buf []byte) ([]types.Delta, error) {
+	b, err := DecodeDeltaBatch(buf)
+	if err != nil {
+		return nil, err
 	}
-	off += n
-	readTuple := func() (types.Tuple, error) {
-		arity, n := binary.Uvarint(buf[off:])
-		if n <= 0 || arity > uint64(len(buf)-off-n) {
-			return nil, fmt.Errorf("cluster: decode deltas: bad arity")
-		}
-		off += n
-		t := make(types.Tuple, arity)
-		for i := range t {
-			tok, n := binary.Uvarint(buf[off:])
-			if n <= 0 {
-				return nil, fmt.Errorf("cluster: decode deltas: bad value token")
-			}
-			if tok >= dictRefBase {
-				// uint64 comparison so a forged huge token cannot wrap
-				// to a negative index.
-				ref := tok - dictRefBase
-				if ref >= uint64(len(dict)) {
-					return nil, fmt.Errorf("cluster: decode deltas: dictionary ref %d out of range", ref)
-				}
-				t[i] = dict[ref]
-				off += n
-				continue
-			}
-			// Inline value: the token byte is the types codec's kind byte.
-			v, used, err := types.DecodeValue(buf[off:])
-			if err != nil {
-				return nil, err
-			}
-			t[i] = v
-			off += used
-		}
-		return t, nil
-	}
-	out := make([]types.Delta, 0, nb)
-	for i := uint64(0); i < nb; i++ {
-		if off >= len(buf) {
-			return nil, fmt.Errorf("cluster: decode deltas: truncated at delta %d", i)
-		}
-		d := types.Delta{Op: types.Op(buf[off])}
-		off++
-		var err error
-		if d.Tup, err = readTuple(); err != nil {
-			return nil, fmt.Errorf("cluster: decode deltas: delta %d: %w", i, err)
-		}
-		if d.Op == types.OpReplace {
-			if d.Old, err = readTuple(); err != nil {
-				return nil, fmt.Errorf("cluster: decode deltas: delta %d old: %w", i, err)
-			}
-		}
-		out = append(out, d)
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("cluster: decode deltas: %d trailing bytes", len(buf)-off)
-	}
-	return out, nil
+	return b.Deltas(), nil
 }

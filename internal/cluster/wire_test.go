@@ -81,8 +81,9 @@ func randValue(r *rand.Rand) types.Value {
 	}
 }
 
-func randDelta(r *rand.Rand) types.Delta {
-	arity := 1 + r.Intn(5)
+// randDelta draws one delta of the given arity; a replace's old image
+// shares it, as every batch the engine ships is schema-uniform.
+func randDelta(r *rand.Rand, arity int) types.Delta {
 	tup := make(types.Tuple, arity)
 	for i := range tup {
 		tup[i] = randValue(r)
@@ -100,15 +101,16 @@ func randDelta(r *rand.Rand) types.Delta {
 }
 
 // Property: random delta batches — mixed-kind columns, NULLs, replace
-// deltas, repeated values — round-trip the dictionary wire format exactly.
+// deltas, repeated values — round-trip the wire format exactly.
 func TestDeltaBatchRoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(20260729))
 	for iter := 0; iter < 300; iter++ {
 		batch := make([]types.Delta, r.Intn(40))
+		arity := 1 + r.Intn(5)
 		for i := range batch {
-			batch[i] = randDelta(r)
+			batch[i] = randDelta(r, arity)
 		}
-		got, err := DecodeDeltas(EncodeDeltas(batch))
+		got, err := DecodeDeltas(mustEncode(t, batch))
 		if err != nil {
 			t.Fatalf("iter %d: decode: %v", iter, err)
 		}
@@ -134,7 +136,7 @@ func TestDeltaBatchPreservesKinds(t *testing.T) {
 		types.Insert(types.NewTuple(int64(7), 7.0, "7", true, nil)),
 		types.Insert(types.NewTuple(int64(7), 7.0, "7", true, nil)),
 	}
-	got, err := DecodeDeltas(EncodeDeltas(batch))
+	got, err := DecodeDeltas(mustEncode(t, batch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,23 +159,52 @@ func TestDeltaBatchPreservesKinds(t *testing.T) {
 	}
 }
 
-// The dictionary must beat the plain per-value encoding on repetitive
-// batches (the shape recursive delta streams actually have) and stay
-// deterministic.
-func TestDeltaBatchDictionaryCompresses(t *testing.T) {
-	var batch []types.Delta
-	for i := 0; i < 200; i++ {
-		batch = append(batch, types.Insert(types.NewTuple(
-			int64(i), "a-repeated-column-value", 1.0)))
+// mustEncode is EncodeDeltas for batches that must encode.
+func mustEncode(t testing.TB, batch []types.Delta) []byte {
+	t.Helper()
+	buf, err := EncodeDeltas(batch)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wire := EncodeDeltas(batch)
-	plain := types.EncodeBatch(batch)
-	if len(wire) >= len(plain) {
-		t.Fatalf("dictionary format %dB not smaller than plain %dB", len(wire), len(plain))
+	return buf
+}
+
+// A ragged batch has no columnar layout: EncodeDeltas reports it as an
+// error instead of panicking or falling back to another format.
+func TestEncodeDeltasRejectsRagged(t *testing.T) {
+	for name, batch := range map[string][]types.Delta{
+		"tuple arity": {
+			types.Insert(types.NewTuple(int64(1), "a")),
+			types.Insert(types.NewTuple(int64(2))),
+		},
+		"old-image arity": {
+			types.Replace(types.NewTuple(int64(1)), types.NewTuple(int64(2))),
+			types.Replace(types.NewTuple(int64(1), "x"), types.NewTuple(int64(3))),
+		},
+	} {
+		if buf, err := EncodeDeltas(batch); err == nil {
+			t.Errorf("%s: ragged batch encoded to %x", name, buf)
+		}
 	}
-	again := EncodeDeltas(batch)
-	if string(wire) != string(again) {
-		t.Fatal("encoding must be deterministic")
+}
+
+// dictFrame is a payload of the retired dictionary format (tag 0xD1), as
+// its encoder wrote it; the fuzz corpus keeps it as valid-dictionary-frame.
+const dictFrame = "\xd1\x02\x02@\x04\x00\x00\x00\x00\x00\x00\x03\x01a\x02\x00\x04\x01\x02\t\b\x04\x01\x02\x04\x01\x02\x00\x02@\f\x00\x00\x00\x00\x00\x00\x04\x00\x04\x01\x02\t\b\x04\x01"
+
+// A dictionary-format payload is an error, never a batch.
+func TestDecodeDeltasRejectsDictionaryFormat(t *testing.T) {
+	for _, buf := range [][]byte{
+		{0xD1},
+		{0xD1, 0, 1, 0, 1, 1, 2}, // one insert of (int 1), no dictionary
+		[]byte(dictFrame),
+	} {
+		if ds, err := DecodeDeltas(buf); err == nil {
+			t.Errorf("DecodeDeltas(%x) = %v, want an error", buf, ds)
+		}
+		if _, err := DecodeDeltaBatch(buf); err == nil {
+			t.Errorf("DecodeDeltaBatch(%x) accepted a dictionary payload", buf)
+		}
 	}
 }
 
@@ -183,7 +214,7 @@ func TestDecodeDeltasCorrupt(t *testing.T) {
 		types.Insert(types.NewTuple(int64(1), "hello", 2.5)),
 		types.Replace(types.NewTuple(int64(1), "hello", 2.5), types.NewTuple(int64(1), "world", 3.5)),
 	}
-	wire := EncodeDeltas(batch)
+	wire := mustEncode(t, batch)
 	for cut := 0; cut < len(wire); cut++ {
 		if _, err := DecodeDeltas(wire[:cut]); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
@@ -199,15 +230,14 @@ func TestDecodeDeltasCorrupt(t *testing.T) {
 		t.Fatal("short frame must fail")
 	}
 	// Forged (huge) length fields must error, not panic in makeslice or
-	// slicing: dictionary count, batch count, arity, string length, and
-	// the frame's table/payload lengths.
+	// slicing: row count, column count, old-column count, column payload
+	// length, and the frame's table/payload lengths.
 	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	forged := [][]byte{
-		append([]byte{deltaFormatDict}, huge...),                // dict count
-		append([]byte{deltaFormatDict, 0}, huge...),             // batch count
-		append([]byte{deltaFormatDict, 0, 1, 0}, huge...),       // arity
-		append([]byte{deltaFormatDict, 1, 3}, huge...),          // dict string len
-		append([]byte{deltaFormatDict, 0, 1, 0, 1, 3}, huge...), // value string len
+		append([]byte{deltaFormatCol}, huge...),                // row count
+		append([]byte{deltaFormatCol, 0}, huge...),             // column count
+		append([]byte{deltaFormatCol, 0, 0}, huge...),          // old-column count
+		append([]byte{deltaFormatCol, 1, 1, 0, 0, 3}, huge...), // string payload length
 	}
 	for i, buf := range forged {
 		if _, err := DecodeDeltas(buf); err == nil {
@@ -228,16 +258,16 @@ func TestDecodeDeltasCorrupt(t *testing.T) {
 }
 
 // Cross-kind numeric ties (int64(300) vs float64(300.0) compare equal)
-// must still encode deterministically.
+// must still encode deterministically and keep their kinds.
 func TestDeltaBatchDeterministicUnderTies(t *testing.T) {
 	var batch []types.Delta
 	for i := 0; i < 4; i++ {
 		batch = append(batch, types.Insert(types.NewTuple(int64(300), 300.0, int64(301), 301.0)))
 	}
-	first := EncodeDeltas(batch)
+	first := mustEncode(t, batch)
 	for i := 0; i < 20; i++ {
-		if string(EncodeDeltas(batch)) != string(first) {
-			t.Fatal("encoding varies across runs for tied dictionary entries")
+		if string(mustEncode(t, batch)) != string(first) {
+			t.Fatal("encoding varies across runs for tied values")
 		}
 	}
 	got, err := DecodeDeltas(first)

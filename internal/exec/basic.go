@@ -572,7 +572,10 @@ type outputOp struct {
 const resultEdge = -1
 
 func (o *outputOp) Push(port int, batch []types.Delta) error {
-	payload := cluster.EncodeDeltas(batch)
+	payload, err := cluster.EncodeDeltas(batch)
+	if err != nil {
+		return err
+	}
 	o.ctx.Transport.SendToRequestor(cluster.Message{
 		From: o.ctx.Node, Kind: cluster.MsgData, Edge: resultEdge,
 		Payload: payload, Count: len(batch), Epoch: o.ctx.Epoch,

@@ -262,7 +262,7 @@ func TestFixpointDefaultDedup(t *testing.T) {
 	ctx := &Context{}
 	f := newFixpointOp(spec, ctx, nil)
 	votes := []int{}
-	f.onStratumEnd = func(stratum, count int) { votes = append(votes, count) }
+	f.onStratumEnd = func(stratum, count int) error { votes = append(votes, count); return nil }
 
 	must(t, f.Push(0, []types.Delta{
 		types.Insert(types.NewTuple(int64(1), "a")),

@@ -45,7 +45,7 @@ type fixpointOp struct {
 	emitted map[types.Value][]types.Tuple
 
 	// onStratumEnd is the worker callback: checkpoint then vote.
-	onStratumEnd func(stratum, newCount int)
+	onStratumEnd func(stratum, newCount int) error
 }
 
 func newFixpointOp(spec *OpSpec, ctx *Context, handler uda.WhileHandler) *fixpointOp {
@@ -137,7 +137,7 @@ func (f *fixpointOp) Punct(port, stratum int, closed bool) error {
 		return fmt.Errorf("exec: fixpoint punct port %d out of range", port)
 	}
 	if f.onStratumEnd != nil {
-		f.onStratumEnd(stratum, f.newCount)
+		return f.onStratumEnd(stratum, f.newCount)
 	}
 	return nil
 }

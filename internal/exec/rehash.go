@@ -14,10 +14,10 @@ import (
 // fed by the worker loop from the transport and aligns punctuation from
 // all alive senders before forwarding downstream (§4.2).
 //
-// With Options.Compaction off, the per-destination buffers are pooled
-// columnar batches that ship as columnar wire frames. With it on, they are
-// cluster.Compactors that coalesce same-key deltas before encoding, and
-// flushes observe a credit-based flow-control rule: every shipped batch
+// Every shipment leaves from a per-destination pooled columnar batch as a
+// columnar wire frame. With Options.Compaction on, deltas first coalesce
+// per destination in cluster.Compactors, which drain into those batches,
+// and flushes observe a credit-based flow-control rule: every shipped batch
 // spends one credit from the sender's window to that destination, and a
 // flush with an exhausted window is deferred — deltas keep coalescing
 // locally instead of flooding a backlogged peer. Receivers size the
@@ -39,10 +39,10 @@ type rehashOp struct {
 	compactors map[cluster.NodeID]*cluster.Compactor
 	mergeFn    cluster.MergeFunc
 	allCols    []int // cached 0..n-1 index for keyless (broadcast) edges
-	// vecBuffers are the per-destination pending batches of the columnar
-	// path (compaction off): rows accumulate column-wise in pooled batches
-	// and ship as columnar wire frames, so the shuffle hot loop never
-	// materializes row deltas. Row-form pushes append into vecBuffers too,
+	// vecBuffers are the per-destination pending batches every frame
+	// ships from: rows accumulate column-wise in pooled batches, so the
+	// uncompacted shuffle hot loop never materializes row deltas.
+	// Row-form pushes and compactor drains append into vecBuffers too,
 	// preserving same-key delta order.
 	vecBuffers map[cluster.NodeID]*types.DeltaBatch
 	scratch    types.Tuple // reused by multi-column HashKeyAt calls
@@ -71,22 +71,20 @@ func newRehashOp(spec *OpSpec, ctx *Context, broadcast bool) *rehashOp {
 		punctCount:  map[int]int{},
 		closedCount: map[int]int{},
 		nSenders:    len(ctx.Snap.AliveNodes()),
+		vecBuffers:  map[cluster.NodeID]*types.DeltaBatch{},
 	}
 	if ctx.Compaction {
 		r.compactors = map[cluster.NodeID]*cluster.Compactor{}
 		r.flushedIn = map[cluster.NodeID]int{}
 		r.mergeFn = compactMergeFn(spec)
-	} else {
-		r.vecBuffers = map[cluster.NodeID]*types.DeltaBatch{}
 	}
 	return r
 }
 
-// vec reports whether this rehash runs the columnar send path, i.e.
-// compaction is off. The compactor coalesces same-key deltas row-wise, and
-// a coalesced dictionary frame beats a columnar one on the workloads
-// compaction exists for.
-func (r *rehashOp) vec() bool { return r.vecBuffers != nil }
+// vec reports whether this rehash routes batches column-wise, i.e.
+// compaction is off. The compactor coalesces same-key deltas row-wise, so
+// a compacting rehash routes rows and ships the drained result.
+func (r *rehashOp) vec() bool { return r.compactors == nil }
 
 func (r *rehashOp) Push(port int, batch []types.Delta) error {
 	switch port {
@@ -207,10 +205,11 @@ func (r *rehashOp) vecBuffer(dest cluster.NodeID) *types.DeltaBatch {
 	return vb
 }
 
-// flushVec ships dest's pending columnar batch: loopback hands it straight
-// downstream; remote destinations encode the columnar wire format into a
-// pooled payload buffer (returned to the pool once Send has copied it into
-// the frame) and keep the batch for reuse.
+// flushVec ships dest's pending columnar batch, the one send path of the
+// rehash: loopback hands it straight downstream; remote destinations
+// encode the columnar wire format into a pooled payload buffer (returned
+// to the pool once Send has copied it into the frame) and keep the batch
+// for reuse.
 func (r *rehashOp) flushVec(dest cluster.NodeID) error {
 	vb := r.vecBuffers[dest]
 	if vb == nil || vb.Len() == 0 {
@@ -341,18 +340,24 @@ func (r *rehashOp) flush(dest cluster.NodeID) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	if dest == r.ctx.Node {
-		// Loopback: deliver synchronously, skipping the wire.
-		return r.Push(1, batch)
+	if dest != r.ctx.Node {
+		// Every shipped batch spends one credit from this sender's
+		// window to the destination (an overflow-forced flush may
+		// overdraw to zero). Only compacting senders gate on credits,
+		// so the uncompacted path skips the book entirely.
+		r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
 	}
-	// Every shipped batch spends one credit from this sender's window to
-	// the destination (an overflow-forced flush may overdraw to zero).
-	// Only compacting senders gate on credits, so the columnar path skips
-	// the book entirely.
-	r.ctx.Transport.SpendCredits(r.ctx.Node, dest, 1)
-	r.ctx.Transport.SendData(r.ctx.Node, dest, edgeID(r.spec.ID, 1),
-		r.ctx.Stratum, r.ctx.Epoch, batch)
-	return nil
+	// The drain ships as one frame through the columnar send path.
+	vb := r.vecBuffer(dest)
+	for _, d := range batch {
+		if !vb.CanAppend(d) {
+			if err := r.flushVec(dest); err != nil {
+				return err
+			}
+		}
+		vb.Append(d)
+	}
+	return r.flushVec(dest)
 }
 
 func (r *rehashOp) flushAll() error {
@@ -436,12 +441,10 @@ func (r *rehashOp) Reset() {
 		r.compactors = map[cluster.NodeID]*cluster.Compactor{}
 		r.flushedIn = map[cluster.NodeID]int{}
 	}
-	if r.vecBuffers != nil {
-		for _, vb := range r.vecBuffers {
-			types.PutBatch(vb)
-		}
-		r.vecBuffers = map[cluster.NodeID]*types.DeltaBatch{}
+	for _, vb := range r.vecBuffers {
+		types.PutBatch(vb)
 	}
+	r.vecBuffers = map[cluster.NodeID]*types.DeltaBatch{}
 	r.punctCount = map[int]int{}
 	r.closedCount = map[int]int{}
 	r.nSenders = len(r.ctx.Snap.AliveNodes())

@@ -85,15 +85,21 @@ func TestHandleCheckpointRejectsMalformedTuples(t *testing.T) {
 	})
 	// A checkpoint tuple whose first field is not an integer hash must be
 	// rejected, not silently stored under hash 0.
-	bad := cluster.EncodeDeltas([]types.Delta{types.Insert(types.NewTuple("not-a-hash", "S"))})
-	err := w.handleCheckpoint(cluster.Message{
+	bad, err := cluster.EncodeDeltas([]types.Delta{types.Insert(types.NewTuple("not-a-hash", "S"))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.handleCheckpoint(cluster.Message{
 		Kind: cluster.MsgCheckpoint, Edge: 3, Stratum: 1, Payload: bad,
 	})
 	if err == nil {
 		t.Fatal("non-integer key hash accepted")
 	}
 	// Valid frames still land.
-	good := cluster.EncodeDeltas([]types.Delta{types.Insert(types.NewTuple(int64(42), "S", int64(7)))})
+	good, err := cluster.EncodeDeltas([]types.Delta{types.Insert(types.NewTuple(int64(42), "S", int64(7)))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := w.handleCheckpoint(cluster.Message{
 		Kind: cluster.MsgCheckpoint, Edge: 3, Stratum: 1, Payload: good,
 	}); err != nil {

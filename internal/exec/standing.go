@@ -1139,7 +1139,10 @@ func (sq *StandingQuery) routeAll(tables map[string][]types.Delta) (frames []clu
 			for len(batch) > 0 {
 				chunk := batch[:min(bs, len(batch))]
 				batch = batch[len(chunk):]
-				payload := cluster.EncodeDeltas(chunk)
+				payload, err := cluster.EncodeDeltas(chunk)
+				if err != nil {
+					return nil, 0, 0, err
+				}
 				nBytes += int64(len(payload))
 				// Epoch and round (Stratum) are stamped by sendStaged on
 				// every send, so a recovery replay restamps automatically.

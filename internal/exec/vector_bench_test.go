@@ -52,7 +52,10 @@ func benchPipeline(b *testing.B) (*filterOp, *preAggOp) {
 // aliasing the frame in vector mode) and push it through the pipeline.
 func BenchmarkDataPathFilterPreAggRow(b *testing.B) {
 	f, _ := benchPipeline(b)
-	payload := cluster.EncodeDeltas(benchStream(8192))
+	payload, err := cluster.EncodeDeltas(benchStream(8192))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -76,7 +79,7 @@ func BenchmarkDataPathFilterPreAggVector(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, dec, err := cluster.DecodeDeltasAny(payload)
+		dec, err := cluster.DecodeDeltaBatch(payload)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -216,19 +217,15 @@ func (w *Worker) handle(msg cluster.Message) error {
 		// operator: decode validates the column payloads and aliases them
 		// out of the frame buffer, and values materialize only where an
 		// operator actually touches them.
-		rows, cb, err := cluster.DecodeDeltasAny(msg.Payload)
+		cb, err := cluster.DecodeDeltaBatch(msg.Payload)
 		if err != nil {
 			return err
 		}
-		if cb != nil {
-			w.drain.Observe(cb.Len())
-			if bo, ok := inst.(BatchOperator); ok {
-				return bo.PushBatch(port, cb)
-			}
-			return inst.Push(port, cb.Deltas())
+		w.drain.Observe(cb.Len())
+		if bo, ok := inst.(BatchOperator); ok {
+			return bo.PushBatch(port, cb)
 		}
-		w.drain.Observe(len(rows))
-		return inst.Push(port, rows)
+		return inst.Push(port, cb.Deltas())
 	case cluster.MsgPunct:
 		if w.triage(msg) {
 			return nil
@@ -325,7 +322,7 @@ func (w *Worker) handleStart(msg cluster.Message) error {
 			}
 		}
 	}
-	alive, err := decodeNodeList(msg.Payload)
+	alive, err := decodeNodeList(msg.Payload, w.transport.N())
 	if err != nil {
 		return err
 	}
@@ -355,7 +352,9 @@ func (w *Worker) handleStart(msg cluster.Message) error {
 	if incremental && w.fixpoint != nil {
 		// Report the restored Δ set as this (already completed) stratum's
 		// vote so the requestor can advance past it.
-		w.stratumEnd(resume, w.fixpoint.PendingCount(), false)
+		if err := w.stratumEnd(resume, w.fixpoint.PendingCount(), false); err != nil {
+			return err
+		}
 	}
 	// Replay peer frames that outran this MsgStart, in arrival order (so
 	// per-sender FIFO — data before its punctuation — is preserved).
@@ -549,12 +548,16 @@ func (w *Worker) primaryOwned(table string, batch []types.Delta) ([]types.Delta,
 // (§4.3), then vote. The stream batch MUST precede the vote on the ordered
 // requestor channel — the requestor treats vote completion as "all of
 // stratum s's deltas have arrived".
-func (w *Worker) stratumEnd(stratum, count int, checkpoint bool) {
+func (w *Worker) stratumEnd(stratum, count int, checkpoint bool) error {
 	if w.stream && w.fixpoint != nil {
 		if batch := w.fixpoint.StreamDelta(); len(batch) > 0 {
+			payload, err := cluster.EncodeDeltas(batch)
+			if err != nil {
+				return err
+			}
 			w.transport.SendToRequestor(cluster.Message{
 				From: w.node, Kind: cluster.MsgData, Edge: resultEdge,
-				Stratum: stratum, Payload: cluster.EncodeDeltas(batch),
+				Stratum: stratum, Payload: payload,
 				Count: len(batch), Epoch: w.epoch,
 			})
 		}
@@ -565,7 +568,9 @@ func (w *Worker) stratumEnd(stratum, count int, checkpoint bool) {
 			if len(entries) == 0 {
 				continue
 			}
-			w.replicate(opID, stratum, entries)
+			if err := w.replicate(opID, stratum, entries); err != nil {
+				return err
+			}
 		}
 	}
 	if w.stream && w.fixpoint != nil {
@@ -578,12 +583,20 @@ func (w *Worker) stratumEnd(stratum, count int, checkpoint bool) {
 		From: w.node, Kind: cluster.MsgVote,
 		Stratum: stratum, Count: count, Epoch: w.epoch,
 	})
+	return nil
 }
 
 // replicate stores checkpoint entries locally and ships them to the other
-// ring owners of each entry's key.
-func (w *Worker) replicate(opID, stratum int, entries []types.Tuple) {
-	byDest := map[cluster.NodeID][]types.Delta{}
+// ring owners of each entry's key. Entries differ in arity (a tombstone is
+// shorter than a state entry) and a frame holds one arity, so they ship in
+// one frame per destination and arity. An operator's entries for one key
+// share an arity, so each key's entries keep their order.
+func (w *Worker) replicate(opID, stratum int, entries []types.Tuple) error {
+	type destArity struct {
+		dest  cluster.NodeID
+		arity int
+	}
+	byDest := map[destArity][]types.Delta{}
 	var selfHashes []uint64
 	var selfTuples []types.Tuple
 	for _, e := range entries {
@@ -595,20 +608,26 @@ func (w *Worker) replicate(opID, stratum int, entries []types.Tuple) {
 				selfTuples = append(selfTuples, e)
 				continue
 			}
-			byDest[owner] = append(byDest[owner], types.Insert(e))
+			k := destArity{owner, len(e)}
+			byDest[k] = append(byDest[k], types.Insert(e))
 		}
 	}
 	if len(selfTuples) > 0 {
 		w.ckpt.Put(w.queryID, opID, stratum, selfHashes, selfTuples)
 	}
-	for dest, batch := range byDest {
+	for k, batch := range byDest {
+		payload, err := cluster.EncodeDeltas(batch)
+		if err != nil {
+			return err
+		}
 		w.transport.Send(cluster.Message{
-			From: w.node, To: dest, Kind: cluster.MsgCheckpoint,
+			From: w.node, To: k.dest, Kind: cluster.MsgCheckpoint,
 			Edge: opID, Stratum: stratum,
-			Payload: cluster.EncodeDeltas(batch), Count: len(batch),
+			Payload: payload, Count: len(batch),
 			Epoch: w.epoch,
 		})
 	}
+	return nil
 }
 
 // build instantiates the plan for the given snapshot.
@@ -641,8 +660,8 @@ func (w *Worker) build(snap *cluster.Snapshot) error {
 		case *fixpointOp:
 			w.fixpoint = o
 			o.stream = w.stream
-			o.onStratumEnd = func(stratum, count int) {
-				w.stratumEnd(stratum, count, true)
+			o.onStratumEnd = func(stratum, count int) error {
+				return w.stratumEnd(stratum, count, true)
 			}
 		}
 		if ck, ok := inst.(checkpointer); ok && w.spec.Recursive() {
@@ -807,24 +826,36 @@ func (w *Worker) instantiate(spec *OpSpec, ctx *Context) (Operator, error) {
 	}
 }
 
-// encodeNodeList serializes a node list for MsgStart payloads.
+// encodeNodeList serializes a node list for MsgStart payloads: a uvarint
+// count, then one uvarint node ID each.
 func encodeNodeList(nodes []cluster.NodeID) []byte {
-	t := make(types.Tuple, len(nodes))
-	for i, n := range nodes {
-		t[i] = int64(n)
+	buf := binary.AppendUvarint(make([]byte, 0, 1+len(nodes)), uint64(len(nodes)))
+	for _, n := range nodes {
+		buf = binary.AppendUvarint(buf, uint64(n))
 	}
-	return types.EncodeBatch([]types.Delta{types.Insert(t)})
+	return buf
 }
 
-func decodeNodeList(payload []byte) ([]cluster.NodeID, error) {
-	batch, err := types.DecodeBatch(payload)
-	if err != nil || len(batch) != 1 {
-		return nil, fmt.Errorf("exec: bad node list payload")
+// decodeNodeList decodes an encodeNodeList payload, rejecting truncated
+// or trailing bytes and IDs outside the transport's n nodes.
+func decodeNodeList(payload []byte, n int) ([]cluster.NodeID, error) {
+	count, off := binary.Uvarint(payload)
+	// Every ID costs at least one byte, which bounds the count before
+	// the allocation.
+	if off <= 0 || count > uint64(len(payload)-off) {
+		return nil, fmt.Errorf("exec: bad node list count")
 	}
-	out := make([]cluster.NodeID, len(batch[0].Tup))
-	for i, v := range batch[0].Tup {
-		n, _ := types.AsInt(v)
-		out[i] = cluster.NodeID(n)
+	out := make([]cluster.NodeID, count)
+	for i := range out {
+		id, used := binary.Uvarint(payload[off:])
+		if used <= 0 || id >= uint64(n) {
+			return nil, fmt.Errorf("exec: bad node list entry %d", i)
+		}
+		out[i] = cluster.NodeID(id)
+		off += used
+	}
+	if off != len(payload) {
+		return nil, fmt.Errorf("exec: node list has %d trailing bytes", len(payload)-off)
 	}
 	return out, nil
 }

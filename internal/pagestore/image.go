@@ -10,20 +10,18 @@ import (
 
 // A checkpoint image is the durable full-state snapshot a node restarts
 // from: every table's local tuples (primary and replica copies alike),
-// payload-encoded with the columnar delta-batch codec when the table's
-// shape allows it and the row codec otherwise. The image is written to a
-// temp file, fsynced, and atomically renamed over the previous one, so a
-// crash mid-checkpoint leaves the old image intact.
+// payload-encoded with the columnar delta-batch codec. The image is
+// written to a temp file, fsynced, and atomically renamed over the
+// previous one, so a crash mid-checkpoint leaves the old image intact.
 //
 // Layout: magic, varint committedRound, uvarint table count, then per
-// table: name, uvarint keyCol, format byte (0 = row batch, 1 = columnar
-// batch), uvarint payload length, payload.
+// table: name, uvarint keyCol, format byte (always imageFormatCol),
+// uvarint payload length, payload.
 var imageMagic = []byte("REXIMG01")
 
-const (
-	imageFormatRow = 0
-	imageFormatCol = 1
-)
+// imageFormatCol tags a columnar table payload, the only format; the byte
+// keeps the layout of images written when a row format still existed.
+const imageFormatCol = 1
 
 type imageTable struct {
 	name   string
@@ -31,28 +29,36 @@ type imageTable struct {
 	tuples []types.Tuple
 }
 
-func writeImage(path string, committedRound int64, tables []imageTable) error {
+// encodeImage serializes a checkpoint image. Tables hold schema-uniform
+// tuples, so a table whose tuples differ in arity is an error.
+func encodeImage(committedRound int64, tables []imageTable) ([]byte, error) {
 	buf := append([]byte(nil), imageMagic...)
 	buf = binary.AppendVarint(buf, committedRound)
 	buf = binary.AppendUvarint(buf, uint64(len(tables)))
+	var b types.DeltaBatch
 	for _, t := range tables {
 		buf = encodeString(buf, t.name)
 		buf = binary.AppendUvarint(buf, uint64(t.keyCol))
-		ds := make([]types.Delta, len(t.tuples))
-		for i, tup := range t.tuples {
-			ds[i] = types.Insert(tup)
+		b.Reset()
+		for _, tup := range t.tuples {
+			d := types.Insert(tup)
+			if !b.CanAppend(d) {
+				return nil, fmt.Errorf("pagestore: image: table %s: tuples differ in arity", t.name)
+			}
+			b.Append(d)
 		}
-		var payload []byte
-		format := byte(imageFormatRow)
-		if cb, ok := types.FromDeltas(ds); ok {
-			format = imageFormatCol
-			payload = types.AppendDeltaBatch(nil, cb)
-		} else {
-			payload = types.EncodeBatch(ds)
-		}
-		buf = append(buf, format)
+		payload := types.AppendDeltaBatch(nil, &b)
+		buf = append(buf, imageFormatCol)
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
+	}
+	return buf, nil
+}
+
+func writeImage(path string, committedRound int64, tables []imageTable) error {
+	buf, err := encodeImage(committedRound, tables)
+	if err != nil {
+		return err
 	}
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -78,64 +84,69 @@ func readImage(path string) (committedRound int64, tables []imageTable, err erro
 	if err != nil {
 		return -1, nil, err
 	}
+	committedRound, tables, err = parseImage(buf)
+	if err != nil {
+		return -1, nil, fmt.Errorf("pagestore: %s: %w", path, err)
+	}
+	return committedRound, tables, nil
+}
+
+// parseImage decodes an encodeImage buffer. Images carry no checksum, so
+// every length, key column and payload is checked before use.
+func parseImage(buf []byte) (committedRound int64, tables []imageTable, err error) {
 	if len(buf) < len(imageMagic)+1 || string(buf[:len(imageMagic)]) != string(imageMagic) {
-		return -1, nil, fmt.Errorf("pagestore: %s: not a checkpoint image", path)
+		return -1, nil, fmt.Errorf("not a checkpoint image")
 	}
 	buf = buf[len(imageMagic):]
 	round, n := binary.Varint(buf)
 	if n <= 0 {
-		return -1, nil, fmt.Errorf("pagestore: %s: bad round", path)
+		return -1, nil, fmt.Errorf("bad round")
 	}
 	buf = buf[n:]
 	nt, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return -1, nil, fmt.Errorf("pagestore: %s: bad table count", path)
+		return -1, nil, fmt.Errorf("bad table count")
 	}
 	buf = buf[n:]
 	for i := uint64(0); i < nt; i++ {
 		name, used, ok := decodeString(buf)
 		if !ok {
-			return -1, nil, fmt.Errorf("pagestore: %s: bad table name", path)
+			return -1, nil, fmt.Errorf("bad table name")
 		}
 		buf = buf[used:]
 		keyCol, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return -1, nil, fmt.Errorf("pagestore: %s: bad key column", path)
+		if n <= 0 || keyCol > maxKeyCol {
+			return -1, nil, fmt.Errorf("table %s: bad key column", name)
 		}
 		buf = buf[n:]
 		if len(buf) == 0 {
-			return -1, nil, fmt.Errorf("pagestore: %s: truncated", path)
+			return -1, nil, fmt.Errorf("truncated")
 		}
-		format := buf[0]
+		if format := buf[0]; format != imageFormatCol {
+			return -1, nil, fmt.Errorf("table %s: unknown format %d", name, format)
+		}
 		buf = buf[1:]
 		plen, n := binary.Uvarint(buf)
 		if n <= 0 || plen > uint64(len(buf)-n) {
-			return -1, nil, fmt.Errorf("pagestore: %s: bad payload length", path)
+			return -1, nil, fmt.Errorf("table %s: bad payload length", name)
 		}
 		payload := buf[n : n+int(plen)]
 		buf = buf[n+int(plen):]
-		var ds []types.Delta
-		switch format {
-		case imageFormatCol:
-			cb, _, err := types.DecodeDeltaBatch(payload)
-			if err != nil {
-				return -1, nil, fmt.Errorf("pagestore: %s: table %s: %w", path, name, err)
-			}
-			ds = cb.Deltas()
-		case imageFormatRow:
-			var err error
-			ds, err = types.DecodeBatch(payload)
-			if err != nil {
-				return -1, nil, fmt.Errorf("pagestore: %s: table %s: %w", path, name, err)
-			}
-		default:
-			return -1, nil, fmt.Errorf("pagestore: %s: table %s: unknown format %d", path, name, format)
+		cb, used, err := types.DecodeDeltaBatch(payload)
+		if err != nil {
+			return -1, nil, fmt.Errorf("table %s: %w", name, err)
 		}
-		tuples := make([]types.Tuple, len(ds))
-		for j, d := range ds {
-			tuples[j] = d.Tup
+		if used != len(payload) {
+			return -1, nil, fmt.Errorf("table %s: %d trailing payload bytes", name, len(payload)-used)
+		}
+		tuples := make([]types.Tuple, cb.Len())
+		for j := range tuples {
+			tuples[j] = cb.Delta(j).Tup
 		}
 		tables = append(tables, imageTable{name: name, keyCol: int(keyCol), tuples: tuples})
+	}
+	if len(buf) != 0 {
+		return -1, nil, fmt.Errorf("%d trailing bytes", len(buf))
 	}
 	return round, tables, nil
 }

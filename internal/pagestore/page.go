@@ -28,7 +28,7 @@ const PageSize = 8 * 1024
 //	[4:..] slot directory, 4 bytes per slot: offset uint16, length uint16
 //
 // A record is an 8-byte little-endian partition-key hash followed by the
-// row codec's tuple encoding (types.AppendTuple). Deletion compacts the
+// per-record codec's tuple encoding (types.AppendTuple). Deletion compacts the
 // page in place, so every slot is live and free space is exact.
 const (
 	pageHeaderSize = 4

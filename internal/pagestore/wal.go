@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"github.com/rex-data/rex/internal/types"
@@ -132,7 +134,7 @@ type walRec struct {
 // replayWAL reads the log's committed prefix: every record up to and
 // including the last valid commit mark. A short, torn, or checksum-failing
 // tail ends the scan cleanly — that is the uncommitted work a crash is
-// allowed to lose.
+// allowed to lose. A checksummed record that does not decode is an error.
 func replayWAL(path string) (recs []walRec, lastRound int64, err error) {
 	lastRound = -1
 	f, err := os.Open(path)
@@ -162,9 +164,11 @@ func replayWAL(path string) (recs []walRec, lastRound int64, err error) {
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[4:8]) {
 			break
 		}
-		rec, ok := decodeWALRec(payload)
-		if !ok {
-			break
+		// The checksum held, so these are the bytes the writer wrote: a
+		// record that does not decode is corruption, not a torn tail.
+		rec, err := decodeWALRec(payload)
+		if err != nil {
+			return nil, -1, fmt.Errorf("pagestore: %s: record %d: %w", path, len(all), err)
 		}
 		all = append(all, rec)
 		if rec.kind == walCommit {
@@ -175,9 +179,9 @@ func replayWAL(path string) (recs []walRec, lastRound int64, err error) {
 	return all[:committed], lastRound, nil
 }
 
-func decodeWALRec(payload []byte) (walRec, bool) {
+func decodeWALRec(payload []byte) (walRec, error) {
 	if len(payload) == 0 {
-		return walRec{}, false
+		return walRec{}, errors.New("empty record")
 	}
 	rec := walRec{kind: payload[0]}
 	body := payload[1:]
@@ -185,34 +189,39 @@ func decodeWALRec(payload []byte) (walRec, bool) {
 	case walCreate:
 		name, used, ok := decodeString(body)
 		if !ok {
-			return walRec{}, false
+			return walRec{}, errors.New("create: bad table name")
 		}
 		k, n := binary.Uvarint(body[used:])
-		if n <= 0 {
-			return walRec{}, false
+		if n <= 0 || k > maxKeyCol {
+			return walRec{}, fmt.Errorf("create %s: bad key column", name)
 		}
 		rec.table, rec.keyCol = name, int(k)
 	case walApply:
 		name, used, ok := decodeString(body)
 		if !ok {
-			return walRec{}, false
+			return walRec{}, errors.New("apply: bad table name")
 		}
 		d, _, err := types.DecodeDelta(body[used:])
 		if err != nil {
-			return walRec{}, false
+			return walRec{}, fmt.Errorf("apply %s: %w", name, err)
 		}
 		rec.table, rec.delta = name, d
 	case walCommit:
 		v, n := binary.Varint(body)
 		if n <= 0 {
-			return walRec{}, false
+			return walRec{}, errors.New("commit: bad round")
 		}
 		rec.round = v
 	default:
-		return walRec{}, false
+		return walRec{}, fmt.Errorf("unknown record kind %d", rec.kind)
 	}
-	return rec, true
+	return rec, nil
 }
+
+// maxKeyCol bounds the key column an image or WAL record may declare. A
+// larger uvarint would wrap negative as an int, slip past the stores'
+// keyCol >= len(tuple) guards and panic on the first tuple indexed.
+const maxKeyCol = math.MaxInt32
 
 func encodeString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))

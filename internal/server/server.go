@@ -755,7 +755,10 @@ func (c *srvConn) writeRows(id, stratum, round int, deltas []types.Delta) (int64
 	if len(deltas) == 0 {
 		return 0, nil
 	}
-	payload := cluster.EncodeDeltas(deltas)
+	payload, err := cluster.EncodeDeltas(deltas)
+	if err != nil {
+		return 0, err
+	}
 	if len(payload) > maxRowsPayload && len(deltas) > 1 {
 		half := len(deltas) / 2
 		n1, err := c.writeRows(id, stratum, round, deltas[:half])
@@ -765,7 +768,7 @@ func (c *srvConn) writeRows(id, stratum, round int, deltas []types.Delta) (int64
 		n2, err := c.writeRows(id, stratum, round, deltas[half:])
 		return n1 + n2, err
 	}
-	err := c.writeMsg(cluster.Message{Kind: cluster.MsgRows, Edge: id,
+	err = c.writeMsg(cluster.Message{Kind: cluster.MsgRows, Edge: id,
 		Stratum: stratum, Count: round, Payload: payload})
 	return int64(len(payload)), err
 }

@@ -319,9 +319,9 @@ func ReadMsg(r io.Reader) (cluster.Message, error) {
 
 // EncodeArgs packs bound parameter values as one encoded tuple; nil for
 // no arguments.
-func EncodeArgs(args []types.Value) []byte {
+func EncodeArgs(args []types.Value) ([]byte, error) {
 	if len(args) == 0 {
-		return nil
+		return nil, nil
 	}
 	return cluster.EncodeDeltas([]types.Delta{types.Insert(types.Tuple(args))})
 }

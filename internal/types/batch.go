@@ -624,7 +624,8 @@ func FromDeltas(ds []Delta) (*DeltaBatch, bool) {
 	return b, true
 }
 
-// Reset clears the batch for reuse, keeping column and vector capacity.
+// Reset clears the batch for reuse, keeping column and vector capacity; a
+// reset batch has no columns, so it encodes exactly like a fresh one.
 // A decoded (borrowed) batch drops its aliased slices instead, so later
 // appends can never scribble on the wire buffer it came from.
 func (b *DeltaBatch) Reset() {
@@ -640,5 +641,6 @@ func (b *DeltaBatch) Reset() {
 	for i := range b.cols {
 		b.cols[i].reset()
 	}
+	b.cols = b.cols[:0]
 	b.old = nil
 }

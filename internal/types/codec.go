@@ -6,8 +6,10 @@ import (
 	"math"
 )
 
-// The binary codec gives the simulated transport realistic message sizes:
-// the bandwidth experiment (Fig. 11) measures exactly these encoded bytes.
+// The per-record binary codec: store pages, the WAL and the checkpoint log
+// keep tuples and deltas in it, and the columnar codec's mixed-kind
+// columns encode their values with it. Delta batches on the wire use the
+// columnar codec (colcodec.go) instead.
 // Layout per value: 1 kind byte + varint / fixed64 / length-prefixed bytes.
 
 // AppendValue encodes v onto buf.
@@ -173,91 +175,4 @@ func DecodeDelta(buf []byte) (Delta, int, error) {
 		off += used
 	}
 	return d, off, nil
-}
-
-// EncodeBatch encodes a batch of deltas with a leading count. This is the
-// wire format of one transport message.
-func EncodeBatch(ds []Delta) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(ds)))
-	for _, d := range ds {
-		buf = AppendDelta(buf, d)
-	}
-	return buf
-}
-
-// DecodeBatch decodes a batch encoded by EncodeBatch.
-func DecodeBatch(buf []byte) ([]Delta, error) {
-	n64, n := binary.Uvarint(buf)
-	if n <= 0 || n64 > uint64(len(buf)-n) {
-		return nil, fmt.Errorf("types: decode batch: bad count")
-	}
-	off := n
-	out := make([]Delta, 0, n64)
-	for i := uint64(0); i < n64; i++ {
-		d, used, err := DecodeDelta(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("types: decode batch item %d: %w", i, err)
-		}
-		out = append(out, d)
-		off += used
-	}
-	return out, nil
-}
-
-// EncodedSize reports the wire size of a batch without materializing it.
-func EncodedSize(ds []Delta) int {
-	n := uvarintLen(uint64(len(ds)))
-	for _, d := range ds {
-		n += 1 + tupleSize(d.Tup)
-		if d.Op == OpReplace {
-			n += tupleSize(d.Old)
-		}
-	}
-	return n
-}
-
-func tupleSize(t Tuple) int {
-	n := uvarintLen(uint64(len(t)))
-	for _, v := range t {
-		n += ValueSize(v)
-	}
-	return n
-}
-
-// ValueSize reports the encoded size of one value without materializing
-// it. Wire-level codecs use it to decide when dictionary-encoding a
-// repeated value pays for itself.
-func ValueSize(v Value) int {
-	switch x := v.(type) {
-	case nil:
-		return 1
-	case int64:
-		return 1 + varintLen(x)
-	case float64:
-		return 9
-	case string:
-		return 1 + uvarintLen(uint64(len(x))) + len(x)
-	case bool:
-		return 2
-	default:
-		s := AsString(x)
-		return 1 + uvarintLen(uint64(len(s))) + len(s)
-	}
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-func varintLen(v int64) int {
-	uv := uint64(v) << 1
-	if v < 0 {
-		uv = ^uv
-	}
-	return uvarintLen(uv)
 }

@@ -181,11 +181,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		Replace(NewTuple("old"), NewTuple("new")),
 		Update(NewTuple(int64(1), -0.01)),
 	}
-	buf := EncodeBatch(ds)
-	if len(buf) != EncodedSize(ds) {
-		t.Fatalf("EncodedSize=%d, actual=%d", EncodedSize(ds), len(buf))
-	}
-	got, err := DecodeBatch(buf)
+	got, err := decodeDeltas(appendDeltas(nil, ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +208,41 @@ func TestCodecErrors(t *testing.T) {
 	if _, _, err := DecodeValue([]byte{99}); err == nil {
 		t.Error("unknown kind should fail")
 	}
-	if _, err := DecodeBatch([]byte{}); err == nil {
-		t.Error("empty batch should fail")
+	if _, _, err := DecodeDelta([]byte{}); err == nil {
+		t.Error("empty delta should fail")
 	}
+	if _, _, err := DecodeTuple([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}); err == nil {
+		t.Error("forged field count should fail")
+	}
+	full := AppendDelta(nil, Replace(NewTuple(int64(1), "a"), NewTuple(int64(2), "b")))
+	for cut := 0; cut < len(full); cut++ {
+		if _, _, err := DecodeDelta(full[:cut]); err == nil {
+			t.Errorf("delta truncated at %d should fail", cut)
+		}
+	}
+}
+
+// appendDeltas and decodeDeltas frame a delta sequence in the per-record
+// codec the way the WAL does: records back to back, each decoding to the
+// bytes it consumed.
+func appendDeltas(buf []byte, ds []Delta) []byte {
+	for _, d := range ds {
+		buf = AppendDelta(buf, d)
+	}
+	return buf
+}
+
+func decodeDeltas(buf []byte) ([]Delta, error) {
+	var out []Delta
+	for len(buf) > 0 {
+		d, used, err := DecodeDelta(buf)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, d)
+		buf = buf[used:]
+	}
+	return out, nil
 }
 
 func TestCodecSpecialFloats(t *testing.T) {
@@ -232,8 +260,8 @@ func TestCodecSpecialFloats(t *testing.T) {
 	}
 }
 
-// Property: any batch of random tuples round-trips through the codec and
-// EncodedSize always matches the encoded length.
+// Property: any sequence of random deltas round-trips through the
+// per-record codec, replaces included.
 func TestCodecRoundTripProperty(t *testing.T) {
 	gen := func(r *rand.Rand) Delta {
 		n := r.Intn(5)
@@ -272,16 +300,13 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		for i := range ds {
 			ds[i] = gen(r)
 		}
-		buf := EncodeBatch(ds)
-		if len(buf) != EncodedSize(ds) {
-			return false
-		}
-		got, err := DecodeBatch(buf)
+		got, err := decodeDeltas(appendDeltas(nil, ds))
 		if err != nil || len(got) != len(ds) {
 			return false
 		}
 		for i := range ds {
-			if got[i].Op != ds[i].Op || !reflect.DeepEqual(got[i].Tup, ds[i].Tup) {
+			if got[i].Op != ds[i].Op || !reflect.DeepEqual(got[i].Tup, ds[i].Tup) ||
+				!reflect.DeepEqual(got[i].Old, ds[i].Old) {
 				return false
 			}
 		}

@@ -697,7 +697,7 @@ func (s *Session) appendIngestLog(table string, deltas []Delta) {
 // ingestSnapshot folds and encodes the change log for a job spec: at most
 // one entry per table (first-touch order), carrying the net effect of
 // every accepted change.
-func (s *Session) ingestSnapshot() []job.IngestedTable {
+func (s *Session) ingestSnapshot() ([]job.IngestedTable, error) {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
 	var out []job.IngestedTable
@@ -709,9 +709,13 @@ func (s *Session) ingestSnapshot() []job.IngestedTable {
 		if len(tl.deltas) == 0 {
 			continue
 		}
-		out = append(out, job.IngestedTable{Table: table, Deltas: cluster.EncodeDeltas(tl.deltas)})
+		enc, err := cluster.EncodeDeltas(tl.deltas)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, job.IngestedTable{Table: table, Deltas: enc})
 	}
-	return out
+	return out, nil
 }
 
 // ingestLogLen reports the change log's retained delta count (tests assert
@@ -1009,6 +1013,10 @@ func (s *Session) rqlSpec(src string, opts Options) (*job.Spec, error) {
 	if s.cfg.dataset == "" {
 		return nil, fmt.Errorf("rex: TCP sessions need WithDataset to stage data for RQL queries (or run a self-contained Workload)")
 	}
+	ingest, err := s.ingestSnapshot()
+	if err != nil {
+		return nil, err
+	}
 	return &job.Spec{
 		Workload: "rql",
 		Dataset:  s.cfg.dataset, Size: s.cfg.datasetSize, Seed: s.cfg.datasetSeed,
@@ -1018,7 +1026,7 @@ func (s *Session) rqlSpec(src string, opts Options) (*job.Spec, error) {
 		Checkpoint: opts.Checkpoint, CompactionHighWater: opts.CompactionHighWater,
 		MaxStrata:       opts.MaxStrata,
 		Handlers:        s.cfg.handlers,
-		Ingest:          s.ingestSnapshot(),
+		Ingest:          ingest,
 		BufferPoolPages: s.cfg.poolPages,
 	}, nil
 }
